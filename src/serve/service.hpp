@@ -166,6 +166,7 @@ class Service {
       queues_.push_back(std::make_unique<RequestQueue>(cfg_.queue_capacity,
                                                        cfg_.admit_watermark));
     }
+    wake_ = std::make_unique<ShardWake[]>(static_cast<std::size_t>(cfg_.shards));
     if (cfg_.durability.enabled()) open_logs();
     if (cfg_.telemetry.enabled) {
       series_ = std::make_unique<si::obs::TimeSeries>(cfg_.telemetry.ring);
@@ -219,6 +220,7 @@ class Service {
     switch (admit) {
       case Admit::kAccepted:
         accepted_.fetch_add(1, std::memory_order_relaxed);
+        wake_if_parked(shard);
         break;
       case Admit::kBusy:
         rejected_busy_.fetch_add(1, std::memory_order_relaxed);
@@ -265,7 +267,18 @@ class Service {
   void stop() {
     bool expected = false;
     if (!stopping_.compare_exchange_strong(expected, true)) return;
-    if (epoch_thread_.joinable()) epoch_thread_.join();
+    if (epoch_thread_.joinable()) {
+      // The empty critical section orders the stopping_ store before the
+      // epoch thread's predicate check, so the notify cannot be lost.
+      { std::lock_guard<std::mutex> g(epoch_mu_); }
+      epoch_cv_.notify_one();
+      epoch_thread_.join();
+    }
+    for (int s = 0; s < cfg_.shards; ++s) {
+      ShardWake& w = wake_[static_cast<std::size_t>(s)];
+      w.word.fetch_add(1, std::memory_order_release);
+      w.word.notify_one();
+    }
     for (auto& w : workers_) {
       if (w.joinable()) w.join();
     }
@@ -448,17 +461,15 @@ class Service {
     // its control loop, and sharing it keeps one snapshot per epoch.
     const auto epoch = std::chrono::microseconds(
         cfg_.aimd.enabled ? cfg_.aimd.epoch_us : cfg_.telemetry.epoch_us);
-    while (!stopping_.load(std::memory_order_acquire)) {
-      // Sleep in slices so stop() never waits a full epoch on the join.
-      auto left = epoch;
-      while (left.count() > 0 && !stopping_.load(std::memory_order_acquire)) {
-        const auto slice = left < std::chrono::microseconds(500)
-                               ? left
-                               : std::chrono::microseconds(500);
-        std::this_thread::sleep_for(slice);
-        left -= slice;
+    const auto stopped = [this] {
+      return stopping_.load(std::memory_order_acquire);
+    };
+    for (;;) {
+      {
+        // stop() signals epoch_cv_, so its join never waits out an epoch.
+        std::unique_lock<std::mutex> lk(epoch_mu_);
+        if (epoch_cv_.wait_for(lk, epoch, stopped)) break;
       }
-      if (stopping_.load(std::memory_order_acquire)) break;
       si::obs::MetricsSnapshot cur = metrics->snapshot();
       if (ctl) {
         si::util::Histogram lat = cur.request_latency;
@@ -533,35 +544,76 @@ class Service {
     return total;
   }
 
+  /// Per-shard park/wake handshake (DESIGN.md section 9). `waiting` is the
+  /// worker's announcement that it is about to block; `word` is the futex
+  /// it blocks on, bumped by whoever wakes it.
+  struct alignas(128) ShardWake {
+    std::atomic<std::uint32_t> word{0};
+    std::atomic<bool> waiting{false};
+  };
+
+  /// Producer half of the handshake, after a successful push. The fence
+  /// pairs with the one in park(): either this load sees `waiting`, or the
+  /// worker's emptiness re-check sees the push. A busy worker costs no
+  /// syscall.
+  void wake_if_parked(int shard) noexcept {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    ShardWake& w = wake_[static_cast<std::size_t>(shard)];
+    if (w.waiting.load(std::memory_order_relaxed)) {
+      w.word.fetch_add(1, std::memory_order_release);
+      w.word.notify_one();
+    }
+  }
+
+  /// Worker half: announce, fence, re-check, then block. `seen` is read
+  /// before the announcement, so a bump that raced the re-check makes
+  /// wait() return at once instead of sleeping on a stale value.
+  void park(int tid, const RequestQueue& q) noexcept {
+    ShardWake& w = wake_[static_cast<std::size_t>(tid)];
+    const std::uint32_t seen = w.word.load(std::memory_order_acquire);
+    w.waiting.store(true, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (q.empty() && !stopping_.load(std::memory_order_relaxed)) {
+      w.word.wait(seen, std::memory_order_acquire);
+    }
+    w.waiting.store(false, std::memory_order_relaxed);
+  }
+
   void worker_loop(int tid) {
     rt_.register_thread(tid);
     RequestQueue& q = *queues_[static_cast<std::size_t>(tid)];
     std::vector<Request> batch(cfg_.batch_max);
     const si::obs::ObsConfig& obs = cfg_.runtime.obs;
-    int idle = 0;
+    bool logged = false;  // WAL records appended since the last idle flush
     for (;;) {
       const std::size_t n = q.pop_batch(batch.data(), cfg_.batch_max);
       if (n == 0) {
         // Drain-then-exit: stopping_ is checked only on an empty queue, so
-        // every accepted request completes before the worker leaves.
+        // every accepted request completes before the worker leaves. The
+        // daemon's final flush covers whatever this shard appended.
         if (stopping_.load(std::memory_order_acquire) && q.empty()) break;
-        if (++idle < 64) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        // The shard went idle: nothing else will join this batch, so make
+        // its acks durable now rather than at the next tick.
+        if (logged) {
+          request_flush();
+          logged = false;
         }
+        park(tid, q);
         continue;
       }
-      idle = 0;
       if (obs.enabled()) {
         obs.req_dequeue(tid, si::obs::wall_ns(),
                         static_cast<std::uint32_t>(q.approx_depth() + n));
       }
-      for (std::size_t i = 0; i < n; ++i) serve_one(tid, batch[i], obs);
+      for (std::size_t i = 0; i < n; ++i) {
+        logged |= serve_one(tid, batch[i], obs);
+      }
     }
   }
 
-  void serve_one(int tid, const Request& req, const si::obs::ObsConfig& obs) {
+  /// Executes one request and completes it (or parks its ack). Returns true
+  /// when the request appended a WAL record.
+  bool serve_one(int tid, const Request& req, const si::obs::ObsConfig& obs) {
     Response resp;
     resp.id = req.id;
     app_.execute(rt_, tid, req, &resp);
@@ -585,10 +637,11 @@ class Service {
         resp.lsn = logs_[static_cast<std::size_t>(tid)]->append(
             req.id, req.key, req.arg, req.op);
         if (req.done != nullptr) hold_ack(tid, req, resp);
-        return;
+        return true;
       }
     }
     if (req.done != nullptr) req.done(req.ctx, resp);
+    return false;
   }
 
   /// Parks a completed-but-not-yet-durable response on the shard's held-ack
@@ -605,9 +658,20 @@ class Service {
     ack.ctx = req.ctx;
     auto& ring = *held_[static_cast<std::size_t>(tid)];
     while (ring.try_push(ack) != Admit::kAccepted) {
-      gc_cv_.notify_one();
+      request_flush();
       std::this_thread::yield();
     }
+  }
+
+  /// The group-commit daemon's one wake path (shard idle, batch doorbell,
+  /// full held-ack ring). The flag survives a daemon that is mid-flush, so
+  /// a request is never lost: the daemon's predicate wait sees it at once.
+  void request_flush() {
+    {
+      std::lock_guard<std::mutex> g(gc_mu_);
+      flush_requested_ = true;
+    }
+    gc_cv_.notify_one();
   }
 
   /// A completed response waiting for its covering fsync. Trivially
@@ -650,12 +714,11 @@ class Service {
   }
 
   /// Rings the group-commit doorbell every `durability.batch` committed
-  /// updates. Installed into cfg_.runtime before rt_ is constructed (the
-  /// runtime copies its config), so it runs in the initializer list like
-  /// make_own_metrics(). The hook fires on the shard worker right after the
-  /// backend's commit — for SI-HTM that is the far edge of the safety wait,
-  /// which is where a batched fsync piggybacks at zero added latency
-  /// (DESIGN.md §14).
+  /// updates, so a saturated shard, whose queue never drains, still flushes
+  /// in batches before the tick. Installed into cfg_.runtime before rt_ is
+  /// constructed (the runtime copies its config), so it runs in the
+  /// initializer list like make_own_metrics(). The hook fires on the shard
+  /// worker right after the backend's commit (DESIGN.md §14).
   bool install_commit_hook() {
     if (!cfg_.durability.enabled()) return false;
     cfg_.runtime.on_commit.fn = [](void* ctx, bool is_ro) {
@@ -663,23 +726,25 @@ class Service {
       auto* self = static_cast<Service*>(ctx);
       const std::uint64_t n =
           self->commits_since_flush_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (n % self->cfg_.durability.batch == 0) self->gc_cv_.notify_one();
+      if (n % self->cfg_.durability.batch == 0) self->request_flush();
     };
     cfg_.runtime.on_commit.ctx = this;
     return true;
   }
 
-  /// Group-commit daemon: on every tick (or early doorbell) flush all shard
-  /// logs — one write + at most one fsync per shard per tick, amortised over
-  /// every commit in the window — then release the acks the new durable
-  /// LSNs cover. The exit path runs one final flush_and_release() after the
-  /// workers quiesced, so stop() drains with zero held acks and a clean,
-  /// fully-fsynced log tail.
+  /// Group-commit daemon: whenever a shard goes idle, the batch doorbell
+  /// rings or the tick expires, flush all shard logs — one write + at most
+  /// one fsync per shard, amortised over every commit since the last flush
+  /// — then release the acks the new durable LSNs cover. The exit path runs
+  /// one final flush_and_release() after the workers quiesced, so stop()
+  /// drains with zero held acks and a clean, fully-fsynced log tail.
   void group_commit_loop() {
     const auto tick = std::chrono::microseconds(cfg_.durability.group_commit_us);
     std::unique_lock<std::mutex> lk(gc_mu_);
-    while (!gc_stop_) {
-      gc_cv_.wait_for(lk, tick);
+    for (;;) {
+      gc_cv_.wait_for(lk, tick, [this] { return gc_stop_ || flush_requested_; });
+      if (gc_stop_) break;
+      flush_requested_ = false;
       lk.unlock();
       commits_since_flush_.store(0, std::memory_order_relaxed);
       flush_and_release();
@@ -729,6 +794,7 @@ class Service {
   bool commit_hook_installed_ = false;
   si::runtime::Runtime rt_;
   std::vector<std::unique_ptr<RequestQueue>> queues_;
+  std::unique_ptr<ShardWake[]> wake_;  ///< one per shard, beside queues_
   std::atomic<bool> stopping_{false};
   mutable std::mutex aimd_mu_;
   AimdState aimd_state_;  ///< guarded by aimd_mu_
@@ -753,9 +819,12 @@ class Service {
   std::atomic<std::uint64_t> commits_since_flush_{0};
   std::mutex gc_mu_;
   std::condition_variable gc_cv_;
-  bool gc_stop_ = false;  ///< guarded by gc_mu_
+  bool gc_stop_ = false;          ///< guarded by gc_mu_
+  bool flush_requested_ = false;  ///< guarded by gc_mu_
   std::thread gc_thread_;
 
+  std::mutex epoch_mu_;
+  std::condition_variable epoch_cv_;  ///< stop() wakes the epoch thread
   std::thread epoch_thread_;  ///< runs when AIMD and/or telemetry is enabled
   std::vector<std::thread> workers_;  ///< last member: joins before teardown
 };

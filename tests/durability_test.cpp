@@ -2,8 +2,9 @@
 // tests (torn tail at every byte cut-point, CRC corruption, LSN gaps),
 // ShardLog open/append/flush/reopen, replay idempotence, the group-commit
 // ack-gating invariant (a completion never fires before its covering LSN is
-// durable), and the clean-shutdown flush (Service::stop() leaves a fully
-// scanned, eof-terminated log).
+// durable), the idle-shard flush (a lone put is acked without the tick), and
+// the clean-shutdown flush (Service::stop() leaves a fully scanned,
+// eof-terminated log).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -487,9 +488,70 @@ TEST(ServiceDurability, AcksNeverPrecedeTheCoveringFsync) {
   EXPECT_EQ(svc.durability_stats().acks_held, 0u);
 }
 
-// Satellite fix: a clean stop() flushes and fsyncs the buffered tail, so a
-// SIGTERM drain is recoverable with zero replay loss — the file scans to
-// exactly eof with every acked write present.
+// The idle trigger: a lone put on an otherwise idle shard is acked without
+// waiting for the tick or the batch doorbell, and still never before its
+// covering LSN is durable.
+TEST(ServiceDurability, IdleShardFlushesWithoutTheTick) {
+  TempDir dir;
+  struct Ctx {
+    Service<KvApp>* svc = nullptr;
+    std::atomic<bool> acked{false};
+    std::atomic<bool> covered{false};
+  } ctx;
+  ServiceConfig cfg;
+  cfg.shards = 1;
+  cfg.durability.mode = DurabilityMode::kFsync;
+  cfg.durability.dir = dir.path;
+  cfg.durability.group_commit_us = 30'000'000;
+  cfg.durability.batch = 100000;
+  KvApp app(small_app_cfg(), cfg.shards);
+  Service<KvApp> svc(app, cfg);
+  ctx.svc = &svc;
+
+  Request req;
+  req.id = 1;
+  req.op = KvApp::kPut;
+  req.key = 7;
+  req.arg = 8;
+  req.ctx = &ctx;
+  req.done = [](void* c, const Response& resp) {
+    auto* x = static_cast<Ctx*>(c);
+    x->covered.store(resp.lsn > 0 && x->svc->durable_lsn(0) >= resp.lsn,
+                     std::memory_order_relaxed);
+    x->acked.store(true, std::memory_order_release);
+  };
+  ASSERT_TRUE(svc.submit_to(0, req).accepted());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (!ctx.acked.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(ctx.acked.load(std::memory_order_acquire))
+      << "the put waited for the 30 s tick";
+  EXPECT_TRUE(ctx.covered.load(std::memory_order_relaxed));
+  svc.stop();
+  EXPECT_EQ(svc.durability_stats().acks_held, 0u);
+}
+
+// KvApp whose execute() spins until the gate opens, so a test can hold the
+// shard workers inside their first request for as long as it needs.
+struct GatedKvApp {
+  KvApp& inner;
+  std::atomic<bool>& open;
+  static bool logged_op(std::uint16_t op) noexcept {
+    return KvApp::logged_op(op);
+  }
+  void execute(si::runtime::Runtime& rt, int tid, const Request& req,
+               Response* resp) {
+    while (!open.load(std::memory_order_acquire)) std::this_thread::yield();
+    inner.execute(rt, tid, req, resp);
+  }
+};
+
+// A clean stop() flushes and fsyncs the buffered tail, so a SIGTERM drain is
+// recoverable with zero replay loss — the file scans to exactly eof with
+// every acked write present.
 TEST(ServiceDurability, StopFlushesBufferedTailForCleanRecovery) {
   TempDir dir;
   const std::uint64_t kWrites = 200;
@@ -499,12 +561,16 @@ TEST(ServiceDurability, StopFlushesBufferedTailForCleanRecovery) {
     cfg.durability.mode = DurabilityMode::kBuffered;
     cfg.durability.dir = dir.path;
     // A tick far longer than the test and a doorbell batch larger than the
-    // write count: nothing forces a flush before stop() — the final drain
-    // flush is the only reason the tail can reach the file.
+    // write count rule out those two triggers. The gate rules out the third,
+    // the idle flush: no worker can see its queue drain before stop() has
+    // begun, and a stopping worker exits without requesting one. So the
+    // daemon's final drain flush is the only way the tail reaches the file.
     cfg.durability.group_commit_us = 30'000'000;
     cfg.durability.batch = 100000;
-    KvApp app(small_app_cfg(), cfg.shards);
-    Service<KvApp> svc(app, cfg);
+    KvApp inner(small_app_cfg(), cfg.shards);
+    std::atomic<bool> open{false};
+    GatedKvApp app{inner, open};
+    Service<GatedKvApp> svc(app, cfg);
     std::atomic<std::uint64_t> acked{0};
     for (std::uint64_t k = 0; k < kWrites; ++k) {
       Request req;
@@ -519,9 +585,22 @@ TEST(ServiceDurability, StopFlushesBufferedTailForCleanRecovery) {
         static_cast<std::atomic<std::uint64_t>*>(c)->fetch_add(
             1, std::memory_order_relaxed);
       };
-      ASSERT_TRUE(svc.submit(req).accepted());
+      // EXPECT, not ASSERT: returning here would leave the workers gated
+      // and the destructor's stop() waiting for them.
+      EXPECT_TRUE(svc.submit(req).accepted());
     }
-    svc.stop();  // drains workers, then the daemon's final flush releases all
+    std::thread stopper([&] { svc.stop(); });
+    // A refused probe proves stop() has begun; the read-only probes that
+    // were still accepted append nothing.
+    Request probe;
+    probe.op = KvApp::kGet;
+    probe.ro = true;
+    while (svc.submit(probe).admit != si::serve::Admit::kStopped) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(svc.durability_stats().flushes, 0u);
+    open.store(true, std::memory_order_release);
+    stopper.join();  // workers drain, then the daemon's final flush releases all
     EXPECT_EQ(acked.load(), kWrites);
     EXPECT_EQ(svc.durability_stats().acks_held, 0u);
     EXPECT_EQ(svc.durability_stats().appends, kWrites);

@@ -1,11 +1,13 @@
 // Concurrency stress for the serving layer: the MPSC ring hammered by many
-// producers, and a full service under sustained multi-producer load. These
+// producers, a full service under sustained multi-producer load, and bursts
+// separated by idle gaps that make the shard workers park. These
 // run in the TSan lane (CMakePresets.json tsan preset) as well as tier1, so
 // they are the data-race canaries for src/serve — keep the iteration counts
 // meaningful but TSan-affordable.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -123,6 +125,71 @@ TEST(ServeShardStress, ServiceCompletesEverySubmissionUnderLoad) {
   EXPECT_EQ(c.completed, c.accepted);
   EXPECT_EQ(c.failed, 0u);
   EXPECT_EQ(done.load(), c.accepted);
+}
+
+// Lost-wake-up canary for the worker park/wake handshake: every burst lands
+// on workers that had time to park during the gap before it, so a push that
+// slips past a parking worker would strand its request.
+TEST(ServeShardStress, ParkedWorkersWakeForEveryBurst) {
+  ServiceConfig cfg;
+  cfg.shards = 4;
+  cfg.queue_capacity = 128;
+  KvAppConfig app_cfg;
+  app_cfg.buckets = 128;
+  app_cfg.seed_elements = 1000;
+  app_cfg.key_space = 2000;
+  KvApp app(app_cfg, cfg.shards);
+  Service<KvApp> svc(app, cfg);
+
+  constexpr int kProducers = 4;
+  constexpr int kBursts = 25;
+  constexpr int kBurstSize = 40;
+  // One deadline bounds the whole test, so a lost wake-up fails it instead
+  // of leaving producers spinning on a full queue that nobody drains.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      si::util::Xoshiro256 rng(900 + static_cast<std::uint64_t>(p));
+      for (int b = 0; b < kBursts; ++b) {
+        for (int i = 0; i < kBurstSize; ++i) {
+          Request req;
+          req.key = rng.below(app_cfg.key_space);
+          req.op = rng.below(4) == 0 ? KvApp::kPut : KvApp::kGet;
+          req.arg = req.key + 1;
+          req.ro = KvApp::is_ro(req.op);
+          while (!svc.submit(req).accepted()) {
+            if (std::chrono::steady_clock::now() > deadline) return;
+            std::this_thread::yield();
+          }
+        }
+        // Longer than any batch takes, so the workers drain and park.
+        std::this_thread::sleep_for(std::chrono::milliseconds(2 + p % 2));
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+
+  // Every accepted request completes without stop() forcing a wake-up.
+  while (svc.counters().completed < svc.counters().accepted &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto c = svc.counters();
+  EXPECT_EQ(c.accepted, std::uint64_t{kProducers} * kBursts * kBurstSize);
+  EXPECT_EQ(c.completed, c.accepted);
+
+  // stop() wakes parked workers at once instead of waiting for work.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const auto t0 = std::chrono::steady_clock::now();
+  svc.stop();
+  const auto stop_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+  EXPECT_LT(stop_ms.count(), 100);
+  c = svc.counters();
+  EXPECT_EQ(c.completed, c.accepted);
+  EXPECT_EQ(c.failed, 0u);
 }
 
 }  // namespace
