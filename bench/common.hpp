@@ -91,6 +91,7 @@ struct BenchRecord {
   double abort_pct_non_transactional = 0.0;
   double abort_pct_capacity = 0.0;
   double fast_path_hit_rate = -1.0;  ///< emulation fast path; <0 = not measured
+  double lock_acqs_per_iter = -1.0;  ///< bucket-lock takes; <0 = not measured
   double safety_wait_p50_ns = -1.0;  ///< obs metrics; <0 = not measured
   double safety_wait_p99_ns = -1.0;
   double req_latency_p50_ns = -1.0;  ///< serve layer; <0 = not a serving run
@@ -213,6 +214,10 @@ class JsonSink {
       if (r.fast_path_hit_rate >= 0) {
         w.key("fast_path_hit_rate");
         w.value(r.fast_path_hit_rate);
+      }
+      if (r.lock_acqs_per_iter >= 0) {
+        w.key("lock_acqs_per_iter");
+        w.value(r.lock_acqs_per_iter);
       }
       if (r.safety_wait_p50_ns >= 0) {
         w.key("safety_wait_p50_ns");

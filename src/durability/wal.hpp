@@ -22,8 +22,10 @@
 //
 // The durable LSN only advances after the covering write (and fsync, in the
 // sync modes) returned, which is exactly the ack-gating contract: a response
-// whose LSN is <= durable_lsn() may be released to the client. On an I/O
-// error the durable LSN stops advancing — held acks stall rather than lie.
+// whose LSN is <= durable_lsn() may be released to the client. The first
+// I/O error is latched and the durable LSN never advances again — held acks
+// stall rather than lie: the failed batch is gone, so no later flush may
+// claim an LSN past it.
 //
 // open() on an existing file scans it (log_format.hpp), truncates the torn
 // tail, and continues LSNs from the last trusted record — the post-recovery
@@ -221,7 +223,10 @@ class ShardLog {
 
   /// Writes (and in the sync modes, fsyncs) everything appended so far, then
   /// advances the durable LSN. Called only by the group-commit daemon; the
-  /// I/O happens outside the append mutex.
+  /// I/O happens outside the append mutex. After a failed write or fsync
+  /// the log is broken for good: later batches are dropped unwritten, so the
+  /// file stays a gap-free prefix and durable_lsn() stays below the first
+  /// lost record.
   void flush() {
     std::vector<unsigned char> batch;
     std::uint64_t target = 0;
@@ -231,6 +236,7 @@ class ShardLog {
       batch.swap(pending_);
       target = appended_lsn_.load(std::memory_order_relaxed);
     }
+    if (failed_) return;
     bool ok = false;
     if (mode_ == DurabilityMode::kODirect) {
       ok = write_direct(batch);
@@ -243,8 +249,10 @@ class ShardLog {
       if (ok) fsyncs_.fetch_add(1, std::memory_order_relaxed);
     }
     if (!ok) {
-      // Keep durable_lsn where it is: the held acks covering this batch
-      // stall instead of acknowledging writes that never reached the disk.
+      // Keep durable_lsn where it is, now and for every later flush: the
+      // held acks covering this batch stall instead of acknowledging writes
+      // that never reached the disk.
+      failed_ = true;
       io_errors_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -369,6 +377,8 @@ class ShardLog {
   std::mutex mu_;  ///< guards pending_ + next_lsn_ (worker vs daemon swap)
   std::vector<unsigned char> pending_;
   std::uint64_t next_lsn_ = 1;
+
+  bool failed_ = false;  ///< latched first I/O error (daemon-only)
 
   // O_DIRECT staging (daemon-only once open() returned).
   unsigned char* tail_block_ = nullptr;

@@ -25,6 +25,43 @@ struct ThreadBinding {
 
 thread_local ThreadBinding t_binding;
 
+// Every copy into or out of emulated memory is a relaxed atomic word or byte
+// copy: an unlocked reader (try_unlocked_load) may overlap a store it will
+// later discard, and only atomic accesses make that overlap well defined.
+// Words are aligned on the shared side; the other side is private.
+using Word = std::uint64_t __attribute__((may_alias));
+
+void load_relaxed(void* dst, const void* src, std::size_t n) {
+  auto* out = static_cast<unsigned char*>(dst);
+  const auto* in = static_cast<const unsigned char*>(src);
+  for (; n > 0 && (reinterpret_cast<std::uintptr_t>(in) & (sizeof(Word) - 1)); --n) {
+    *out++ = __atomic_load_n(in++, __ATOMIC_RELAXED);
+  }
+  for (; n >= sizeof(Word); n -= sizeof(Word)) {
+    const Word w = __atomic_load_n(reinterpret_cast<const Word*>(in), __ATOMIC_RELAXED);
+    std::memcpy(out, &w, sizeof(Word));
+    in += sizeof(Word);
+    out += sizeof(Word);
+  }
+  for (; n > 0; --n) *out++ = __atomic_load_n(in++, __ATOMIC_RELAXED);
+}
+
+void store_relaxed(void* dst, const void* src, std::size_t n) {
+  auto* out = static_cast<unsigned char*>(dst);
+  const auto* in = static_cast<const unsigned char*>(src);
+  for (; n > 0 && (reinterpret_cast<std::uintptr_t>(out) & (sizeof(Word) - 1)); --n) {
+    __atomic_store_n(out++, *in++, __ATOMIC_RELAXED);
+  }
+  for (; n >= sizeof(Word); n -= sizeof(Word)) {
+    Word w;
+    std::memcpy(&w, in, sizeof(Word));
+    __atomic_store_n(reinterpret_cast<Word*>(out), w, __ATOMIC_RELAXED);
+    in += sizeof(Word);
+    out += sizeof(Word);
+  }
+  for (; n > 0; --n) __atomic_store_n(out++, *in++, __ATOMIC_RELAXED);
+}
+
 }  // namespace
 
 HtmRuntime::HtmRuntime(HtmConfig cfg)
@@ -78,6 +115,7 @@ void HtmRuntime::begin(TxMode tx_mode) {
   assert(d.mode.load(std::memory_order_relaxed) == TxMode::kNone &&
          "nested transactions are not supported");
   assert(tx_mode != TxMode::kNone);
+  assert(!d.in_gate);
   d.killed.store(AbortCause::kNone, std::memory_order_relaxed);
   d.lines.clear();
   d.owned.clear();
@@ -227,7 +265,7 @@ void HtmRuntime::rollback(TxDesc& d) {
     const UndoRecord& u = d.undo[i];
     auto& bucket = table_.bucket_for(line_of(u.addr));
     std::lock_guard guard(bucket.lock);
-    std::memcpy(u.addr, d.undo_bytes.data() + u.offset, u.len);
+    store_relaxed(u.addr, d.undo_bytes.data() + u.offset, u.len);
   }
   release_all_lines(d);
   d.undo.clear();
@@ -247,6 +285,12 @@ void HtmRuntime::release_all_lines(TxDesc& d) {
   if (!d.lines.empty()) release_tmcam(d.core, d.lines.size());
   d.lines.clear();
   d.owned.clear();
+  // Last: leaving orders the commit's stores, or the rollback's restores,
+  // before any unlocked reader that finds the gate empty.
+  if (d.in_gate) {
+    d.in_gate = false;
+    gate_leave();
+  }
 }
 
 bool HtmRuntime::charge_tmcam(int core) {
@@ -267,8 +311,29 @@ void HtmRuntime::release_tmcam(int core, std::size_t n) {
 void HtmRuntime::undo_log(TxDesc& d, void* addr, std::size_t len) {
   const std::uint32_t offset = static_cast<std::uint32_t>(d.undo_bytes.size());
   d.undo_bytes.resize(offset + len);
-  std::memcpy(d.undo_bytes.data() + offset, addr, len);
+  load_relaxed(d.undo_bytes.data() + offset, addr, len);
   d.undo.push_back(UndoRecord{addr, static_cast<std::uint32_t>(len), offset});
+}
+
+void HtmRuntime::gate_enter() {
+  gate_.word.fetch_add(WriteGate::kEnter, std::memory_order_relaxed);
+  // Pairs with the reader's acquire fence: a reader whose copy saw any
+  // store issued after this point also sees the entry on its re-check.
+  std::atomic_thread_fence(std::memory_order_release);
+}
+
+void HtmRuntime::gate_leave() {
+  gate_.word.fetch_sub(1, std::memory_order_release);
+}
+
+bool HtmRuntime::try_unlocked_load(TxDesc& d, void* dst, const void* src,
+                                   std::size_t len, bool in_active_tx) {
+  const std::uint64_t seen = gate_.word.load(std::memory_order_acquire);
+  if ((seen & WriteGate::kCountMask) != 0) return false;
+  load_relaxed(dst, src, len);
+  if (in_active_tx) poll_killed(d);
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return gate_.word.load(std::memory_order_relaxed) == seen;
 }
 
 // --- access paths --------------------------------------------------------
@@ -283,7 +348,7 @@ void HtmRuntime::access_chunk(TxDesc& d, void* dst, const void* src,
   // resolution is settled — a registered write-owner is exclusive, and a
   // still-live registered reader cannot coexist with any writer (writers
   // wait for our rollback before touching the line). Skip the bucket lock
-  // and go straight to the undo-log/memcpy. Kills stay honoured: the flag
+  // and go straight to the undo-log/copy. Kills stay honoured: the flag
   // is polled here exactly as on the slow path.
   const bool in_active_tx =
       d.mode.load(std::memory_order_relaxed) != TxMode::kNone &&
@@ -295,12 +360,30 @@ void HtmRuntime::access_chunk(TxDesc& d, void* dst, const void* src,
       poll_killed(d);
       ++d.fp.hits;
       if (len > 0) {
-        if (is_write && tracked) undo_log(d, dst, len);
-        std::memcpy(dst, src, len);
+        if (!is_write) {
+          load_relaxed(dst, src, len);
+        } else {
+          if (tracked) undo_log(d, dst, len);
+          store_relaxed(dst, src, len);
+        }
       }
       return;
     }
     ++d.fp.misses;
+  }
+
+  // Untracked load with no writer inside the runtime (DESIGN.md §5.2):
+  // there is no writer to kill and no uncommitted byte to hide, so the
+  // bucket lock buys nothing unless the write gate moves during the copy.
+  if (!is_write && !tracked &&
+      try_unlocked_load(d, dst, src, len, in_active_tx)) {
+    return;
+  }
+  // A tracked writer holds the gate from before its first registration, so
+  // an empty gate also means no line has a registered writer.
+  if (is_write && tracked && !d.in_gate) {
+    gate_enter();
+    d.in_gate = true;
   }
 
   auto& bucket = table_.bucket_for(line);
@@ -372,12 +455,16 @@ void HtmRuntime::access_chunk(TxDesc& d, void* dst, const void* src,
     d.owned.add(line, is_write ? kOwnWriter : kOwnReader);
   }
   if (len > 0) {
-    if (is_write) {
-      const bool logged = tracked;
-      if (logged) undo_log(d, dst, len);
-      std::memcpy(dst, src, len);
+    if (!is_write) {
+      load_relaxed(dst, src, len);
+    } else if (tracked) {
+      undo_log(d, dst, len);
+      store_relaxed(dst, src, len);
     } else {
-      std::memcpy(dst, src, len);
+      // A plain store holds the gate only around its own copy.
+      gate_enter();
+      store_relaxed(dst, src, len);
+      gate_leave();
     }
   }
   bucket.lock.unlock();

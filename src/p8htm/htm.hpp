@@ -29,7 +29,9 @@
 // by performing every access under the line's bucket lock after conflict
 // resolution: a reader that encounters an active writer flags it as killed
 // and retries until the writer's rollback has both restored the old bytes
-// and released the line.
+// and released the line. Untracked loads skip the lock while no writer is
+// inside the runtime: a seqlock write gate (DESIGN.md §5.2) proves that no
+// in-place store overlapped the copy, and falls back to the lock otherwise.
 //
 // Kills are asynchronous: the victim observes its `killed` flag at the next
 // poll point (every access, commit, resume, or an explicit check_killed()).
@@ -261,10 +263,26 @@ class HtmRuntime {
     /// of access_chunk so the hot path does not touch ~0.5 KiB of fresh
     /// stack per chunk.
     int victim_scratch[kMaxThreads + 1];
+
+    /// True from this transaction's first tracked write until
+    /// release_all_lines() (commit or rollback, a helper's included) takes
+    /// it out of the write gate again.
+    bool in_gate = false;
   };
 
   struct alignas(si::util::kLineSize) CoreTmcam {
     std::atomic<std::int64_t> used{0};
+  };
+
+  /// Seqlock write gate (DESIGN.md §5.2). The low 32 bits count the
+  /// transactions holding a write registration plus the plain stores in
+  /// mid-copy; the high 32 bits are a generation bumped on every entry, so
+  /// an entry and exit that both fall inside a reader's copy still change
+  /// the word.
+  struct alignas(si::util::kLineSize) WriteGate {
+    static constexpr std::uint64_t kEnter = (std::uint64_t{1} << 32) + 1;
+    static constexpr std::uint64_t kCountMask = 0xffffffffu;
+    std::atomic<std::uint64_t> word{0};
   };
 
   TxDesc& self();
@@ -299,10 +317,22 @@ class HtmRuntime {
 
   void undo_log(TxDesc& d, void* addr, std::size_t len);
 
+  /// Enters the write gate; every in-place store after it is ordered after
+  /// the entry for any reader that sees the store.
+  void gate_enter();
+  void gate_leave();
+
+  /// Untracked load without the bucket lock. Returns false (and the copy in
+  /// `dst` must be discarded) unless the write gate was empty and unchanged
+  /// across the whole copy.
+  bool try_unlocked_load(TxDesc& d, void* dst, const void* src, std::size_t len,
+                         bool in_active_tx);
+
   HtmConfig cfg_;
   LineTable table_;
   std::unique_ptr<TxDesc[]> descs_;
   std::unique_ptr<CoreTmcam[]> tmcam_;
+  WriteGate gate_;
   si::obs::Tracer* tracer_ = nullptr;
   si::obs::Metrics* metrics_ = nullptr;
 };

@@ -8,6 +8,8 @@
 // HtmRuntime while holding the entry's bucket lock, which makes the
 // check-then-access sequence atomic per line — the property that guarantees
 // the emulation never lets a read return uncommitted data (DESIGN.md §5.1).
+// Untracked loads skip the table while no writer is inside the runtime
+// (DESIGN.md §5.2).
 #pragma once
 
 #include <cstddef>

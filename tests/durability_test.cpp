@@ -1,18 +1,23 @@
 // Durability tier (DESIGN.md §14): CRC32C check vector, log-format property
 // tests (torn tail at every byte cut-point, CRC corruption, LSN gaps),
-// ShardLog open/append/flush/reopen, replay idempotence, the group-commit
+// ShardLog open/append/flush/reopen, the latched I/O error (a lost batch is
+// never covered by a later flush), replay idempotence, the group-commit
 // ack-gating invariant (a completion never fires before its covering LSN is
 // durable), the idle-shard flush (a lone put is acked without the tick), and
 // the clean-shutdown flush (Service::stop() leaves a fully scanned,
 // eof-terminated log).
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -332,6 +337,70 @@ TEST(ShardLog, ODirectModeOpensOrFallsBackAndStaysScannable) {
     // Direct I/O rounds the file to 4 KiB; the padding must scan as torn.
     EXPECT_TRUE(r.end == ScanEnd::kEof || r.end == ScanEnd::kTorn);
   }
+}
+
+/// The descriptor this process holds open on `path`, found by resolving
+/// every /proc/self/fd link; -1 if none.
+int open_fd_of(const std::string& path) {
+  char want[PATH_MAX];
+  if (::realpath(path.c_str(), want) == nullptr) return -1;
+  DIR* fds = ::opendir("/proc/self/fd");
+  if (fds == nullptr) return -1;
+  int found = -1;
+  while (const dirent* e = ::readdir(fds)) {
+    const std::string link = std::string("/proc/self/fd/") + e->d_name;
+    char target[PATH_MAX];
+    const ssize_t n = ::readlink(link.c_str(), target, sizeof(target) - 1);
+    if (n <= 0) continue;
+    target[n] = '\0';
+    if (std::strcmp(target, want) == 0) {
+      found = std::atoi(e->d_name);
+      break;
+    }
+  }
+  ::closedir(fds);
+  return found;
+}
+
+// A write that fails (here: ENOSPC from /dev/full swapped in under the log's
+// descriptor) loses its batch. The error is latched: once the disk is back,
+// a later flush must not advance durable_lsn past the lost record, or the
+// ack held for it would be released for a write that is not on disk.
+TEST(ShardLog, FailedFlushLatchesSoLostRecordsAreNeverDurable) {
+  TempDir dir;
+  std::string err;
+  ShardLog log;
+  ASSERT_TRUE(log.open(dir.path, 0, 1, DurabilityMode::kBuffered, &err)) << err;
+  EXPECT_EQ(log.append(1, 1, 11, KvApp::kPut), 1u);
+  log.flush();
+  ASSERT_EQ(log.durable_lsn(), 1u);
+
+  const int fd = open_fd_of(log.path());
+  ASSERT_GE(fd, 0);
+  const int saved = ::dup(fd);
+  const int full = ::open("/dev/full", O_WRONLY);
+  ASSERT_GE(saved, 0);
+  ASSERT_GE(full, 0);
+  ASSERT_EQ(::dup2(full, fd), fd);
+  const std::uint64_t lost = log.append(2, 2, 22, KvApp::kPut);
+  log.flush();  // write() fails: the batch holding `lost` is gone
+  ASSERT_EQ(::dup2(saved, fd), fd);
+  ::close(saved);
+  ::close(full);
+  EXPECT_EQ(log.stats().io_errors, 1u);
+  EXPECT_EQ(log.durable_lsn(), 1u);
+
+  log.append(3, 3, 33, KvApp::kPut);
+  log.flush();  // the disk works again, but the log is already broken
+  EXPECT_LT(log.durable_lsn(), lost);
+  log.close();
+
+  // What is on disk is still a gap-free prefix: record 1 only.
+  const auto image = read_image(shard_log_path(dir.path, 0));
+  const ScanResult r = scan_log(image.data(), image.size());
+  EXPECT_EQ(r.end, ScanEnd::kEof);
+  ASSERT_EQ(r.records.size(), 1u);
+  EXPECT_EQ(r.last_lsn, 1u);
 }
 
 // --- recovery ----------------------------------------------------------------

@@ -1,9 +1,10 @@
 // Tests of the P8-HTM emulation: tracking, capacity, conflict matrix,
-// suspend/resume, helper rollback of suspended victims, and a serializable
-// stress run.
+// suspend/resume, helper rollback of suspended victims, the write gate of
+// the unlocked untracked-read path, and serializable stress runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -95,6 +96,57 @@ TEST(HtmBasics, MultiLineStoreAndLoad) {
   EXPECT_EQ(rt.tracked_lines(), 3u);
   EXPECT_THROW(rt.self_abort(AbortCause::kExplicit), TxAbort);
   for (std::size_t i = 0; i < sizeof(buf); ++i) ASSERT_EQ(buf[i], 0u);
+}
+
+// With no writer inside the runtime, untracked loads (plain, and ROT reads)
+// skip the bucket lock (DESIGN.md §5.2). A writer holding any line closes
+// the write gate, and the same loads take the locked path — which is where
+// they kill it and wait out its rollback.
+TEST(HtmBasics, UntrackedLoadWithoutWriterTakesNoBucketLock) {
+  HtmRuntime rt(small_machine());
+  rt.register_thread(0);
+  Cell x;
+  x.v = 3;
+  const auto locks = [&] { return rt.fast_path_stats(0).lock_acquisitions; };
+
+  const std::uint64_t before = locks();
+  EXPECT_EQ(rt.plain_load(&x.v), 3u);
+  rt.begin(TxMode::kRot);
+  EXPECT_EQ(rt.load(&x.v), 3u);
+  rt.commit();
+  EXPECT_EQ(locks() - before, 0u);
+
+  for (const bool in_rot : {false, true}) {
+    std::atomic<bool> written{false}, resume{false};
+    bool writer_aborted = false;
+    std::thread writer([&] {
+      rt.register_thread(1);
+      rt.begin(TxMode::kRot);
+      rt.store(&x.v, std::uint64_t{4});
+      rt.suspend();  // hold the line without polling; the reader helps
+      written.store(true, std::memory_order_release);
+      await(resume);
+      try {
+        rt.resume();
+      } catch (const TxAbort&) {
+        writer_aborted = true;
+      }
+    });
+    await(written);
+    const std::uint64_t mid = locks();
+    if (in_rot) {
+      rt.begin(TxMode::kRot);
+      EXPECT_EQ(rt.load(&x.v), 3u);
+      rt.commit();
+    } else {
+      EXPECT_EQ(rt.plain_load(&x.v), 3u);
+    }
+    EXPECT_GE(locks() - mid, 1u) << (in_rot ? "ROT load" : "plain load");
+    resume.store(true, std::memory_order_release);
+    writer.join();
+    EXPECT_TRUE(writer_aborted);
+  }
+  EXPECT_EQ(x.v, 3u);
 }
 
 TEST(HtmCapacity, HtmReadsChargeTmcam) {
@@ -489,6 +541,60 @@ TEST(HtmStress, ConcurrentTransfersConserveTotal) {
       accounts.begin(), accounts.end(), std::uint64_t{0},
       [](std::uint64_t s, const Cell& c) { return s + c.v; });
   EXPECT_EQ(total, std::uint64_t{1000} * kAccounts);
+}
+
+// The unlocked read path's safety net: ROTs keep writing a sentinel pair
+// and rolling it back while plain readers copy the pair. A reader must only
+// ever see the committed pair — never the sentinel, never half of it — so
+// every unlocked copy that overlapped a store has to be caught by the write
+// gate's re-check and redone under the bucket lock.
+TEST(HtmStress, UntrackedReadsNeverSeeRolledBackWrites) {
+  struct alignas(kLineSize) Pair {
+    std::uint64_t a, b;
+  };
+  constexpr std::uint64_t kCommitted = 0x1111111111111111ull;
+  constexpr std::uint64_t kSentinel = 0xdeadbeefdeadbeefull;
+  HtmRuntime rt(small_machine());
+  Pair cell{kCommitted, kCommitted};
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> reads{0}, bad_reads{0};
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      rt.register_thread(t);
+      const Pair sentinel{kSentinel, kSentinel};
+      while (!stop.load(std::memory_order_relaxed)) {
+        try {
+          rt.begin(TxMode::kRot);
+          rt.store_bytes(&cell, &sentinel, sizeof(sentinel));
+          rt.self_abort(AbortCause::kExplicit);
+        } catch (const TxAbort&) {
+        }
+      }
+    });
+  }
+  for (int t = 2; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      rt.register_thread(t);
+      std::uint64_t n = 0, bad = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        Pair seen{};
+        rt.plain_load_bytes(&seen, &cell, sizeof(seen));
+        ++n;
+        if (seen.a != kCommitted || seen.b != kCommitted) ++bad;
+      }
+      reads.fetch_add(n);
+      bad_reads.fetch_add(bad);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  stop.store(true);
+  for (auto& th : threads) th.join();
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(bad_reads.load(), 0u) << "of " << reads.load() << " reads";
+  EXPECT_EQ(cell.a, kCommitted);
+  EXPECT_EQ(cell.b, kCommitted);
 }
 
 }  // namespace

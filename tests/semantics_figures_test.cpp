@@ -41,35 +41,45 @@ TEST(Fig1_SiSemantics, SnapshotsIsolatedAndWriteWriteAborts) {
   Cell x, y;
   y.v = 10;
 
-  std::atomic<bool> t0_wrote{false}, readers_done{false};
+  std::atomic<bool> t0_wrote{false};
+  std::atomic<int> readers_done{0};  // t1 and t2 each count once, after reading
   std::uint64_t t1_saw_x = ~0ull, t2_saw_x = ~0ull;
+  const auto await_readers = [&] {
+    si::util::Backoff b;
+    while (readers_done.load(std::memory_order_acquire) < 2) {
+      cc.htm().check_killed();
+      b.pause();
+    }
+  };
 
   std::thread t0([&] {
     cc.register_thread(0);
     cc.execute(false, [&](auto& tx) {
+      // A retry (the readers killed the first attempt) re-writes only once
+      // both readers are done, so it is not killed again: ten kills would
+      // push t0 onto the SGL, whose holder would then spin here while the
+      // read-only readers wait for that same lock.
+      if (t0_wrote.load(std::memory_order_acquire)) await_readers();
       const auto old_y = tx.read(&y.v);
       tx.write(&y.v, old_y + 10);
       tx.write(&x.v, std::uint64_t{1});
       t0_wrote.store(true, std::memory_order_release);
       // Keep t0 unfinished while t1/t2 read, like the figure's overlap. The
       // readers' accesses may kill us (single-version SI), so poll.
-      si::util::Backoff b;
-      while (!readers_done.load(std::memory_order_acquire)) {
-        cc.htm().check_killed();
-        b.pause();
-      }
+      await_readers();
     });
   });
   std::thread t1([&] {
     cc.register_thread(1);
     await(t0_wrote);
     cc.execute(true, [&](auto& tx) { t1_saw_x = tx.read(&x.v); });
+    readers_done.fetch_add(1, std::memory_order_release);
   });
   std::thread t2([&] {
     cc.register_thread(2);
     await(t0_wrote);
     cc.execute(true, [&](auto& tx) { t2_saw_x = tx.read(&x.v); });
-    readers_done.store(true, std::memory_order_release);
+    readers_done.fetch_add(1, std::memory_order_release);
   });
   t1.join();
   t2.join();
