@@ -6,7 +6,9 @@ The acceptance chain, end to end:
 
   1. start si_serve with -durability (fsync by default) on an ephemeral port
   2. drive it with si_loadgen writing an acked-write ledger (-ledger): one
-     `id op key arg` line per put/del the server acknowledged
+     `id op key arg` line per put/del the server acknowledged — closed loop
+     by default, or Poisson arrivals at a fixed rate with --open-rate, where
+     acks arrive while sends keep going
   3. mid-load, scrape /metrics and lint it (check_metrics.py
      --require-durability), then SIGKILL the server — no drain, no flush
   4. run `si_serve -recover -recover-only -recover-verify`: scan the shard
@@ -20,6 +22,7 @@ Exit 0 when every step passes. Used by the CI crash-recovery lane and
 runnable by hand:
 
   python3 scripts/crash_recovery_smoke.py --build-dir build
+  python3 scripts/crash_recovery_smoke.py --build-dir build --open-rate 20000
 """
 import argparse
 import os
@@ -108,6 +111,9 @@ def main():
                     help="read percentage (low = write-heavy = bigger log)")
     ap.add_argument("--load-seconds", type=float, default=2.0,
                     help="how long to load the server before the SIGKILL")
+    ap.add_argument("--open-rate", type=float, default=0,
+                    help="drive the open loop at this many req/s instead of "
+                         "the closed loop")
     ap.add_argument("--keep", action="store_true",
                     help="keep the scratch dir for inspection")
     args = ap.parse_args()
@@ -133,21 +139,28 @@ def main():
                       "-shards", str(args.shards)]
     ok = False
     try:
-        print(f"crash_recovery_smoke: scratch={scratch} mode={args.mode}")
+        load = (f"open loop {args.open_rate:g} req/s" if args.open_rate > 0
+                else "closed loop")
+        print(f"crash_recovery_smoke: scratch={scratch} mode={args.mode} "
+              f"load={load}")
         server = subprocess.Popen(
             [si_serve, *workload_flags, "-port", "0", "-admin-port", "0",
              "-durability", args.mode, "-log-dir", wal_dir],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         port, admin = wait_for_ports(server, deadline_s=30)
 
+        if args.open_rate > 0:
+            load_flags = ["-mode", "open", "-rate", str(args.open_rate),
+                          "-duration-s", "600"]
+        else:
+            load_flags = ["-requests", "500000000"]
         loadgen = subprocess.Popen(
             [si_loadgen, "-port", str(port), "-conns", str(args.conns),
-             "-requests", "500000000", "-ro", str(args.ro),
-             "-ledger", ledger],
+             *load_flags, "-ro", str(args.ro), "-ledger", ledger],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         time.sleep(args.load_seconds)
         if loadgen.poll() is not None:
-            fail("loadgen finished before the kill; raise -requests")
+            fail("loadgen finished before the kill")
 
         # Mid-load scrape: the si_log_* families must be live.
         with urllib.request.urlopen(

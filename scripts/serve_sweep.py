@@ -1,20 +1,16 @@
 #!/usr/bin/env python3
-"""Saturation sweep over the serving front ends (DESIGN.md section 12).
+"""Saturation sweep over the serving front end (DESIGN.md section 12).
 
-For each front-end configuration (text/poll vs binary/epoll, reactor
-count) the script starts one si_serve, drives it with closed-loop
-si_loadgen points at increasing connection counts, and merges the
-per-point client-side records (goodput + request-latency percentiles,
+For each reactor count the script starts one si_serve, drives it with
+closed-loop si_loadgen points at increasing connection counts, and merges
+the per-point client-side records (goodput + request-latency percentiles,
 including p999) into a single si-bench-v1 document — the format of the
 committed BENCH_serve.json baseline that CI diffs with
 `bench_to_csv.py --compare --max-regression`.
 
-Systems swept by default:
-    serve-text-r1   the single-threaded poll(2) front end, one request
-                    in flight per connection (the protocol has no ids)
-    serve-bin-r1    the epoll reactor front end, one reactor,
-                    pipelined binary protocol
-    serve-bin-r4    four reactors, same binary protocol
+Systems swept by default (both over the pipelined binary protocol):
+    serve-bin-r1    the epoll reactor front end, one reactor
+    serve-bin-r4    four reactors
 
 Points are named c{conns}-d{depth} (connection count x pipeline depth);
 the record's `threads` field carries the connection count so --compare
@@ -27,9 +23,9 @@ Two optional axes (DESIGN.md §14):
                     suffixed `-fsync` etc., so the committed baseline's
                     keys stay untouched and the durability cost reads off
                     as column-vs-column at the same point.
-  --rates 20000,50000      an open-loop arrival-rate sweep (text protocol;
-                    the open loop is Poisson over -mode open, which the
-                    binary engine does not implement): fixed --open-conns
+  --rates 20000,50000      an open-loop arrival-rate sweep (system
+                    serve-bin-open: Poisson arrivals via si_loadgen -mode
+                    open against one reactor): fixed --open-conns
                     connections, points named r{rate}. This is the axis
                     that shows where ack-gating moves the saturation knee,
                     since offered load does not adapt to service capacity.
@@ -59,14 +55,13 @@ import time
 LISTEN_RE = re.compile(r"listening on 127\.0\.0\.1:(\d+)")
 
 
-def start_server(args, proto, reactors, durability="off", log_dir=None):
+def start_server(args, reactors, durability="off", log_dir=None):
     cmd = [
         args.serve,
         "-backend", args.backend,
         "-workload", "hashmap",
         "-shards", str(args.shards),
         "-port", "0",
-        "-proto", proto,
         "-reactors", str(reactors),
         "-buckets", str(args.buckets),
         "-elements", str(args.elements),
@@ -104,17 +99,16 @@ def stop_server(proc):
         proc.stdout.read()
 
 
-def run_point(args, system, proto, reactors, durability, point, loadgen_args):
+def run_point(args, system, reactors, durability, point, loadgen_args):
     log_dir = None
     if durability != "off":
         log_dir = tempfile.mkdtemp(prefix="si-sweep-wal-")
-    proc, port = start_server(args, proto, reactors, durability, log_dir)
+    proc, port = start_server(args, reactors, durability, log_dir)
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
         tmp_path = tmp.name
     cmd = [
         args.loadgen,
         "-port", str(port),
-        "-proto", proto,
         "-keys", str(args.elements * 2),
         "-json", tmp_path,
         "-system", system,
@@ -137,24 +131,20 @@ def run_point(args, system, proto, reactors, durability, point, loadgen_args):
     return doc
 
 
-def closed_point(args, system, proto, reactors, durability, conns, depth):
-    loadgen_args = ["-conns", str(conns), "-requests", str(args.requests)]
-    if proto == "bin":
-        loadgen_args += ["-pipeline", str(depth),
-                         "-client-threads", str(args.client_threads)]
-    return run_point(args, system, proto, reactors, durability,
+def closed_point(args, system, reactors, durability, conns, depth):
+    loadgen_args = ["-conns", str(conns), "-requests", str(args.requests),
+                    "-pipeline", str(depth),
+                    "-client-threads", str(args.client_threads)]
+    return run_point(args, system, reactors, durability,
                      f"c{conns}-d{depth}", loadgen_args)
 
 
 def open_point(args, system, durability, rate):
-    # Open loop is text-protocol only: Poisson arrivals need the
-    # fire-and-forget sender, which the pipelined binary engine refuses
-    # (si_loadgen exits 2 on -proto bin -mode open).
     loadgen_args = ["-mode", "open", "-conns", str(args.open_conns),
                     "-rate", str(rate), "-duration-s", str(args.duration_s),
-                    "-ro", str(args.open_ro)]
-    return run_point(args, system, "text", 1, durability,
-                     f"r{rate}", loadgen_args)
+                    "-ro", str(args.open_ro),
+                    "-client-threads", str(args.client_threads)]
+    return run_point(args, system, 1, durability, f"r{rate}", loadgen_args)
 
 
 def main():
@@ -170,7 +160,7 @@ def main():
     ap.add_argument("--conns", default="8,32,128",
                     help="comma-separated connection counts per system")
     ap.add_argument("--depth", type=int, default=8,
-                    help="pipeline depth for the binary points")
+                    help="pipeline depth for the closed-loop points")
     ap.add_argument("--client-threads", type=int, default=2)
     ap.add_argument("--durability", default="off",
                     help="comma-separated -durability modes to sweep "
@@ -179,7 +169,7 @@ def main():
     ap.add_argument("--group-commit-us", type=int, default=200)
     ap.add_argument("--rates", default="",
                     help="comma-separated open-loop arrival rates (req/s); "
-                         "adds a serve-text-open system swept over -rate "
+                         "adds a serve-bin-open system swept over -rate "
                          "at --open-conns connections")
     ap.add_argument("--open-conns", type=int, default=16,
                     help="connection count for the open-loop rate points")
@@ -205,13 +195,8 @@ def main():
         conns_list = conns_list[:2]
         rates_list = rates_list[:2]
 
-    # (system, proto, reactors, pipeline depth); depth 1 for the text
-    # protocol, which has no correlation ids and thus no pipelining.
-    systems = [
-        ("serve-text-r1", "text", 1, 1),
-        ("serve-bin-r1", "bin", 1, args.depth),
-        ("serve-bin-r4", "bin", 4, args.depth),
-    ]
+    # (system, reactors)
+    systems = [("serve-bin-r1", 1), ("serve-bin-r4", 4)]
 
     records = []
     provenance = None
@@ -224,15 +209,15 @@ def main():
 
     for mode in modes:
         suffix = "" if mode == "off" else f"-{mode}"
-        for system, proto, reactors, depth in systems:
+        for system, reactors in systems:
             name = system + suffix
-            print(f"== {name} (proto={proto}, reactors={reactors}, "
-                  f"depth={depth}, durability={mode})", flush=True)
+            print(f"== {name} (reactors={reactors}, depth={args.depth}, "
+                  f"durability={mode})", flush=True)
             for conns in conns_list:
-                collect(closed_point(args, name, proto, reactors, mode,
-                                     conns, depth))
+                collect(closed_point(args, name, reactors, mode,
+                                     conns, args.depth))
         for rate in rates_list:
-            name = "serve-text-open" + suffix
+            name = "serve-bin-open" + suffix
             print(f"== {name} r{rate} (open loop, durability={mode})",
                   flush=True)
             collect(open_point(args, name, mode, rate))

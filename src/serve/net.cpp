@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -133,73 +132,6 @@ bool send_all(int fd, const char* data, std::size_t len) {
     sent += static_cast<std::size_t>(n);
   }
   return true;
-}
-
-void format_request(std::string* out, std::uint64_t id, std::uint16_t op,
-                    std::uint64_t key, std::uint64_t arg) {
-  char buf[96];
-  const int n = std::snprintf(buf, sizeof(buf), "%llu %u %llu %llu\n",
-                              static_cast<unsigned long long>(id), op,
-                              static_cast<unsigned long long>(key),
-                              static_cast<unsigned long long>(arg));
-  out->assign(buf, static_cast<std::size_t>(n));
-}
-
-void format_response(std::string* out, const Response& resp) {
-  char buf[80];
-  const int n = std::snprintf(buf, sizeof(buf), "%llu %u %llu\n",
-                              static_cast<unsigned long long>(resp.id),
-                              static_cast<unsigned>(resp.status),
-                              static_cast<unsigned long long>(resp.value));
-  out->assign(buf, static_cast<std::size_t>(n));
-}
-
-bool parse_request(const std::string& line, std::uint64_t* id,
-                   std::uint16_t* op, std::uint64_t* key, std::uint64_t* arg) {
-  unsigned long long v_id = 0, v_key = 0, v_arg = 0;
-  unsigned v_op = 0;
-  if (std::sscanf(line.c_str(), "%llu %u %llu %llu", &v_id, &v_op, &v_key,
-                  &v_arg) != 4) {
-    return false;
-  }
-  *id = v_id;
-  *op = static_cast<std::uint16_t>(v_op);
-  *key = v_key;
-  *arg = v_arg;
-  return true;
-}
-
-bool parse_response(const std::string& line, std::uint64_t* id, int* status,
-                    std::uint64_t* value) {
-  unsigned long long v_id = 0, v_value = 0;
-  unsigned v_status = 0;
-  if (std::sscanf(line.c_str(), "%llu %u %llu", &v_id, &v_status, &v_value) !=
-      3) {
-    return false;
-  }
-  *id = v_id;
-  *status = static_cast<int>(v_status);
-  *value = v_value;
-  return true;
-}
-
-bool LineReader::next(std::string* line) {
-  for (;;) {
-    const std::size_t nl = buf_.find('\n');
-    if (nl != std::string::npos) {
-      line->assign(buf_, 0, nl);
-      buf_.erase(0, nl + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;  // EOF
-    buf_.append(chunk, static_cast<std::size_t>(n));
-  }
 }
 
 }  // namespace si::serve::net

@@ -1,19 +1,11 @@
-// Minimal TCP + newline-delimited-protocol helpers shared by the serving
-// front end (tools/si_serve) and the load generator (tools/si_loadgen).
-//
-// Wire protocol, one line per message, fields space-separated decimal:
-//   request:   "<id> <op> <key> <arg>\n"
-//   response:  "<id> <status> <value>\n"
-// where status is serve::Status (0 ok, 1 failed, 2 rejected; a rejected
-// response carries the retry hint in microseconds in the value field).
-// Responses may interleave out of request order across shards; clients
-// correlate by id.
+// Minimal TCP socket helpers shared by the serving front end (reactor.hpp),
+// the admin endpoint (admin.hpp) and the clients (si_loadgen, si_top). The
+// wire format itself lives in serve/wire.hpp.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-
-#include "serve/request.hpp"
 
 namespace si::serve::net {
 
@@ -38,33 +30,5 @@ int connect_tcp(const std::string& host, std::uint16_t port, std::string* err);
 
 /// Writes all of `data` (blocking, restarting on EINTR / short writes).
 bool send_all(int fd, const char* data, std::size_t len);
-
-/// Formats a request/response line into `out` (cleared first). Returns the
-/// formatted line, '\n'-terminated.
-void format_request(std::string* out, std::uint64_t id, std::uint16_t op,
-                    std::uint64_t key, std::uint64_t arg);
-void format_response(std::string* out, const Response& resp);
-
-/// Parses one request/response line (without or with the trailing '\n').
-/// Returns false on malformed input.
-bool parse_request(const std::string& line, std::uint64_t* id,
-                   std::uint16_t* op, std::uint64_t* key, std::uint64_t* arg);
-bool parse_response(const std::string& line, std::uint64_t* id, int* status,
-                    std::uint64_t* value);
-
-/// Buffered blocking line reader over a socket; used by the closed-loop
-/// load-generator connections (the poll-based server keeps its own buffers).
-class LineReader {
- public:
-  explicit LineReader(int fd) : fd_(fd) {}
-
-  /// Reads the next '\n'-terminated line into `*line` (newline stripped).
-  /// Returns false on EOF or error.
-  bool next(std::string* line);
-
- private:
-  int fd_;
-  std::string buf_;
-};
 
 }  // namespace si::serve::net

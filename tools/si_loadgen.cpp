@@ -1,32 +1,35 @@
 // si_loadgen — load generator for si_serve (DESIGN.md sections 9 and 12).
 //
-// Closed loop (default): N connections, each keeping up to `-pipeline D`
-// requests in flight. Offered load adapts to service capacity, so every
-// request eventually completes — the classic benchmark shape:
+// One engine drives every run: `-client-threads T` epoll event-loop threads,
+// each owning conns/T non-blocking connections speaking the length-prefixed
+// binary protocol (serve/wire.hpp). Requests are encoded back-to-back and
+// flushed in one send, responses are matched to in-flight requests by
+// correlation id — a response with an unknown id counts as `misrouted` and
+// fails the run. The engine scales to tens of thousands of concurrent
+// pipelined connections.
+//
+// Closed loop (default): each connection keeps up to `-pipeline D` requests
+// in flight. Offered load adapts to service capacity, so every request
+// eventually completes — the classic benchmark shape. A rejected request is
+// resent after the server's retry hint:
 //
 //   si_loadgen -port 7070 -conns 8 -requests 100000
 //
-// With `-proto bin` (the default, matching si_serve) the generator runs an
-// epoll engine: `-client-threads T` event-loop threads, each owning
-// conns/T non-blocking connections speaking the length-prefixed binary
-// protocol (serve/wire.hpp). Requests are encoded back-to-back and flushed
-// in one send, responses are matched to in-flight requests by correlation
-// id — a response with an unknown id counts as `misrouted` and fails the
-// run. This engine scales to tens of thousands of concurrent pipelined
-// connections. `-proto text` keeps the original one-request-in-flight
-// thread-per-connection loop over the newline protocol.
-//
-// Open loop: a target aggregate arrival rate with Poisson (exponential
-// inter-arrival) spacing, requests issued without waiting for responses.
-// Offered load does NOT adapt, which is what exposes admission control:
-// past saturation the service answers Status::kRejected and the generator
-// counts shed load instead of retrying:
+// Open loop: a target aggregate arrival rate, split into one Poisson
+// (exponential inter-arrival) schedule per connection. Each engine thread
+// sleeps on a timerfd armed for its earliest due arrival, and every due
+// request is sent whatever is already in flight, so offered load does NOT
+// adapt — which is what exposes admission control: past saturation the
+// service answers Status::kRejected and the generator counts shed load
+// instead of retrying. Latency runs from each request's intended send time,
+// so a late generator is charged to the requests it delayed:
 //
 //   si_loadgen -port 7070 -conns 8 -mode open -rate 50000 -duration-s 5
 //
 // Both modes print completed/rejected/failed/lost counts, goodput, and
-// client-side latency percentiles (p50/p99/p999). Exit status is 0 iff no
-// request was lost (sent but never answered) and none failed.
+// client-side latency percentiles (p50/p99/p999); the open loop also prints
+// the offered rate over its send window. Exit status is 0 iff no request was
+// lost (sent but never answered), misrouted or failed.
 //
 // Request mix (hashmap workload): -ro PCT lookups, the rest alternating
 // put/del over -keys distinct keys, ids unique per connection. Against a
@@ -37,16 +40,20 @@
 #include <cmath>
 #include <cstdio>
 #include <sys/epoll.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
+#include <sys/timerfd.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <chrono>
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <queue>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -73,15 +80,13 @@ struct Options {
   unsigned range_pct = 0;   ///< share of requests that are range scans (op 3)
   std::uint64_t span = 16;  ///< range-scan width: hi = lo + span
   std::uint64_t keys = 40000;
-  std::uint64_t think_us = 0;
   bool open_loop = false;
   double rate = 10000.0;     ///< aggregate target req/s (open loop)
   double duration_s = 5.0;   ///< send window (open loop)
   bool tpcc = false;
   std::uint64_t seed = 7;
-  bool bin = true;          ///< -proto bin (default) | text
-  int pipeline = 8;         ///< max requests in flight per connection (bin)
-  int client_threads = 2;   ///< epoll event-loop threads (bin)
+  int pipeline = 8;         ///< max requests in flight per connection (closed)
+  int client_threads = 2;   ///< epoll event-loop threads
 };
 
 /// Acked-write ledger (DESIGN.md §14): one text line `id op key arg` per
@@ -139,8 +144,8 @@ struct ConnResult {
 void usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [-host H] [-port P] [-conns N] [-requests TOTAL]\n"
-               "          [-proto bin|text] [-pipeline D] [-client-threads T]\n"
-               "          [-ro PCT] [-keys N] [-think-us US] [-seed S]\n"
+               "          [-pipeline D] [-client-threads T]\n"
+               "          [-ro PCT] [-keys N] [-seed S]\n"
                "          [-range PCT] [-span N]\n"
                "          [-mode closed|open] [-rate REQ_S] [-duration-s S]\n"
                "          [-tpcc] [-json FILE] [-system NAME] [-point NAME]\n"
@@ -188,80 +193,9 @@ struct MixSampler {
   }
 };
 
-void closed_loop_conn(const Options& opt, int conn_idx, std::uint64_t quota,
-                      ConnResult* out) {
-  std::string err;
-  const int fd = si::serve::net::connect_tcp(opt.host, opt.port, &err);
-  if (fd < 0) {
-    std::fprintf(stderr, "conn %d: %s\n", conn_idx, err.c_str());
-    out->io_error = true;
-    return;
-  }
-  si::serve::net::LineReader reader(fd);
-  MixSampler mix{si::util::Xoshiro256(opt.seed ^ (0x9E3779B9ULL * (conn_idx + 1))),
-                 opt.ro_pct, opt.range_pct, opt.span, opt.keys, opt.tpcc};
-  std::string line;
-  // Ids are unique per connection so cross-connection responses can never be
-  // confused (each connection only ever sees its own responses anyway).
-  std::uint64_t next_id = static_cast<std::uint64_t>(conn_idx) << 32;
-
-  for (std::uint64_t i = 0; i < quota; ++i) {
-    std::uint16_t op = 0;
-    std::uint64_t key = 0, arg = 0;
-    mix.sample(&op, &key, &arg);
-    const std::uint64_t id = ++next_id;
-    for (;;) {  // resubmit-on-reject loop
-      si::serve::net::format_request(&line, id, op, key, arg);
-      const double t0 = si::obs::wall_ns();
-      if (!si::serve::net::send_all(fd, line.data(), line.size())) {
-        out->io_error = true;
-        out->lost += quota - i;
-        ::close(fd);
-        return;
-      }
-      ++out->sent;
-      std::string resp_line;
-      if (!reader.next(&resp_line)) {
-        out->io_error = true;
-        out->lost += quota - i;
-        ::close(fd);
-        return;
-      }
-      std::uint64_t resp_id = 0, value = 0;
-      int status = 0;
-      if (!si::serve::net::parse_response(resp_line, &resp_id, &status,
-                                          &value) ||
-          resp_id != id) {
-        ++out->lost;
-        break;
-      }
-      if (status == static_cast<int>(si::serve::Status::kRejected)) {
-        ++out->rejected;
-        ++out->retries;
-        std::this_thread::sleep_for(std::chrono::microseconds(
-            value > 0 ? value : 100));  // the server's retry hint
-        continue;
-      }
-      if (status == static_cast<int>(si::serve::Status::kOk)) {
-        ++out->ok;
-        out->latency.record(
-            static_cast<std::uint64_t>(si::obs::wall_ns() - t0));
-        g_ledger.record(id, op, key, arg);
-      } else {
-        ++out->failed;
-      }
-      break;
-    }
-    if (opt.think_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(opt.think_us));
-    }
-  }
-  ::close(fd);
-}
-
-/// A request awaiting its response: send timestamp plus what was asked,
-/// kept so rejected requests can be resent verbatim (bin engine) and acked
-/// writes can be recorded in the ledger.
+/// A request awaiting its response: send timestamp (the intended one in the
+/// open loop) plus what was asked, kept so rejected requests can be resent
+/// verbatim (closed loop) and acked writes can be recorded in the ledger.
 struct PendingReq {
   double t0 = 0.0;
   std::uint16_t op = 0;
@@ -269,130 +203,28 @@ struct PendingReq {
   std::uint64_t arg = 0;
 };
 
-void open_loop_conn(const Options& opt, int conn_idx, ConnResult* out) {
-  std::string err;
-  const int fd = si::serve::net::connect_tcp(opt.host, opt.port, &err);
-  if (fd < 0) {
-    std::fprintf(stderr, "conn %d: %s\n", conn_idx, err.c_str());
-    out->io_error = true;
-    return;
-  }
-
-  std::mutex mu;  // guards in_flight (sender + reader of this connection)
-  std::unordered_map<std::uint64_t, PendingReq> in_flight;
-  std::atomic<bool> sender_done{false};
-
-  std::thread reader_thread([&] {
-    si::serve::net::LineReader reader(fd);
-    std::string resp_line;
-    while (reader.next(&resp_line)) {
-      std::uint64_t id = 0, value = 0;
-      int status = 0;
-      if (!si::serve::net::parse_response(resp_line, &id, &status, &value)) {
-        continue;
-      }
-      PendingReq req;
-      req.t0 = -1.0;
-      bool drained;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        auto it = in_flight.find(id);
-        if (it != in_flight.end()) {
-          req = it->second;
-          in_flight.erase(it);
-        }
-        drained = sender_done.load(std::memory_order_acquire) &&
-                  in_flight.empty();
-      }
-      if (req.t0 < 0) continue;  // duplicate or unknown id
-      if (status == static_cast<int>(si::serve::Status::kOk)) {
-        ++out->ok;
-        out->latency.record(
-            static_cast<std::uint64_t>(si::obs::wall_ns() - req.t0));
-        g_ledger.record(id, req.op, req.key, req.arg);
-      } else if (status == static_cast<int>(si::serve::Status::kRejected)) {
-        ++out->rejected;  // open loop: shed, not retried
-      } else {
-        ++out->failed;
-      }
-      if (drained) break;
-    }
-  });
-
-  MixSampler mix{si::util::Xoshiro256(opt.seed ^ (0x517CC1ULL * (conn_idx + 1))),
-                 opt.ro_pct, opt.range_pct, opt.span, opt.keys, opt.tpcc};
-  const double per_conn_rate = opt.rate / opt.conns;
-  const double mean_gap_ns = 1e9 / (per_conn_rate > 1 ? per_conn_rate : 1);
-  si::util::Xoshiro256 gap_rng(opt.seed ^ (0xA5A5ULL * (conn_idx + 3)));
-  std::string line;
-  std::uint64_t next_id = static_cast<std::uint64_t>(conn_idx) << 32;
-
-  const double t_start = si::obs::wall_ns();
-  const double t_end = t_start + opt.duration_s * 1e9;
-  double next_send = t_start;
-  while (si::obs::wall_ns() < t_end) {
-    // Poisson arrivals: exponential inter-arrival times at the target rate.
-    const double u =
-        (static_cast<double>(gap_rng()) + 1.0) / 1.8446744073709552e19;
-    next_send += -std::log(u) * mean_gap_ns;
-    while (si::obs::wall_ns() < next_send) {
-      // Sub-ms gaps: spin; coarser gaps: sleep most of the remainder.
-      const double remain = next_send - si::obs::wall_ns();
-      if (remain > 2e6) {
-        std::this_thread::sleep_for(
-            std::chrono::nanoseconds(static_cast<std::int64_t>(remain / 2)));
-      }
-    }
-    std::uint16_t op = 0;
-    std::uint64_t key = 0, arg = 0;
-    mix.sample(&op, &key, &arg);
-    const std::uint64_t id = ++next_id;
-    si::serve::net::format_request(&line, id, op, key, arg);
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      in_flight.emplace(id, PendingReq{si::obs::wall_ns(), op, key, arg});
-    }
-    if (!si::serve::net::send_all(fd, line.data(), line.size())) {
-      std::lock_guard<std::mutex> lock(mu);
-      in_flight.erase(id);
-      out->io_error = true;
-      break;
-    }
-    ++out->sent;
-  }
-  sender_done.store(true, std::memory_order_release);
-
-  // Give in-flight requests a grace period to drain, then force the reader
-  // out by shutting the socket down; whatever is still unanswered is lost.
-  const double drain_deadline = si::obs::wall_ns() + 10e9;
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (in_flight.empty()) break;
-    }
-    if (si::obs::wall_ns() > drain_deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ::shutdown(fd, SHUT_RDWR);
-  reader_thread.join();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    out->lost += in_flight.size();
-  }
-  ::close(fd);
-}
-
 // ---------------------------------------------------------------------------
-// Binary pipelined epoll engine (closed loop, -proto bin).
+// The epoll engine.
 //
 // Each client thread owns an epoll set over its share of the connections.
-// A connection keeps up to `-pipeline D` requests in flight: requests are
-// encoded back-to-back into one outbound buffer and flushed in a single
-// send, responses are split by the shared FrameParser and matched to the
-// in-flight table by correlation id. A response that matches nothing counts
-// as `misrouted` (the acceptance signal that completions were routed to the
-// wrong connection). Rejections re-arm after the server's retry hint while
-// still occupying their pipeline slot, so the loop stays closed.
+// Requests are encoded back-to-back into a connection's outbound buffer and
+// flushed in a single send, responses are split by the shared FrameParser and
+// matched to the in-flight table by correlation id. A response that matches
+// nothing counts as `misrouted` (the acceptance signal that completions were
+// routed to the wrong connection).
+//
+// Closed loop: a connection keeps up to `-pipeline D` requests in flight.
+// Rejections re-arm after the server's retry hint while still occupying
+// their pipeline slot, so the loop stays closed.
+//
+// Open loop: each connection walks its own Poisson schedule. The engine keeps
+// the connections in a min-heap by next due arrival and sleeps on one timerfd
+// armed for the heap's top; every arrival that is due when it wakes is sent,
+// stamped with its intended send time. Rejections are shed, not retried.
+// After the send window the engine waits up to kDrainGraceNs for answers;
+// whatever is still unanswered then is lost.
+
+constexpr double kDrainGraceNs = 10e9;
 
 struct RetryReq {
   double due_ns = 0.0;
@@ -405,7 +237,10 @@ struct RetryReq {
 struct BinConn {
   int fd = -1;
   std::uint64_t next_id = 0;
-  std::uint64_t quota_left = 0;
+  std::uint64_t quota_left = 0;  ///< closed loop: requests not yet issued
+  double next_due = 0.0;         ///< open loop: next intended send (wall_ns)
+  bool arrivals = false;         ///< open loop: next_due is inside the window
+  si::util::Xoshiro256 gap_rng;  ///< open loop: inter-arrival draws
   si::serve::wire::FrameParser parser;
   std::string out;
   std::size_t out_off = 0;
@@ -419,13 +254,19 @@ struct BinConn {
 
 class BinEngine {
  public:
-  BinEngine(const Options& opt, std::vector<BinConn*> conns)
-      : opt_(opt), conns_(std::move(conns)) {}
+  /// [send_start, send_end) is the open loop's send window (wall_ns).
+  BinEngine(const Options& opt, std::vector<BinConn*> conns, double send_start,
+            double send_end)
+      : opt_(opt),
+        conns_(std::move(conns)),
+        send_start_(send_start),
+        send_end_(send_end) {}
 
   void run() {
     ep_ = ::epoll_create1(0);
-    if (ep_ < 0) {
+    if (ep_ < 0 || (opt_.open_loop && !start_arrivals())) {
       for (BinConn* c : conns_) c->res->io_error = true;
+      if (ep_ >= 0) ::close(ep_);
       return;
     }
     for (BinConn* c : conns_) {
@@ -444,11 +285,26 @@ class BinEngine {
 
     epoll_event events[512];
     while (live_ > 0) {
-      // Retry hints are µs–ms scale; poll tightly while any retry is armed.
-      const int timeout_ms = total_retries_ > 0 ? 1 : 100;
-      const int ne = ::epoll_wait(ep_, events, 512, timeout_ms);
+      if (opt_.open_loop) {
+        send_due();  // also arms the timer the wait below sleeps on
+        if (si::obs::wall_ns() > send_end_ + kDrainGraceNs) {
+          for (BinConn* c : conns_) {
+            if (!c->done) finish(*c);  // grace over: the rest is lost
+          }
+          break;
+        }
+      }
+      const int ne = ::epoll_wait(ep_, events, 512, wait_timeout_ms());
       for (int i = 0; i < ne; ++i) {
         auto* c = static_cast<BinConn*>(events[i].data.ptr);
+        if (c == nullptr) {  // the arrival timer expired and is disarmed
+          std::uint64_t expirations = 0;
+          if (::read(tfd_, &expirations, sizeof(expirations)) < 0) {
+            // EAGAIN: a re-arm raced the expiry; nothing to consume.
+          }
+          armed_for_ = -1.0;  // send_due() re-arms it, even for the same top
+          continue;
+        }
         if (c->done) continue;
         const std::uint32_t ev = events[i].events;
         if ((ev & (EPOLLERR | EPOLLHUP)) != 0 && (ev & EPOLLIN) == 0) {
@@ -474,32 +330,99 @@ class BinEngine {
       }
       if (total_retries_ > 0) resend_due();
     }
+    if (tfd_ >= 0) ::close(tfd_);
     ::close(ep_);
   }
 
  private:
   bool finished(const BinConn& c) const noexcept {
-    return c.quota_left == 0 && c.pending.empty() && c.retries.empty();
+    return c.quota_left == 0 && !c.arrivals && c.pending.empty() &&
+           c.retries.empty();
   }
 
-  /// Tops the pipeline up with first-time requests. Slots held by armed
-  /// retries stay occupied, keeping the loop closed under rejection.
+  int wait_timeout_ms() const noexcept {
+    if (total_retries_ > 0) return 1;  // retry hints are µs–ms scale
+    if (opt_.open_loop && !due_.empty()) return -1;  // the timerfd wakes us
+    return 100;
+  }
+
+  /// Encodes one freshly sampled request timed from `t0`.
+  void issue(BinConn& c, double t0) {
+    std::uint16_t op = 0;
+    std::uint64_t key = 0, arg = 0;
+    c.mix.sample(&op, &key, &arg);
+    const std::uint64_t id = ++c.next_id;
+    si::serve::wire::encode_request(&c.out, id, op, key, arg);
+    c.pending.emplace(id, PendingReq{t0, op, key, arg});
+    ++c.res->sent;
+  }
+
+  /// Closed loop: tops the pipeline up with first-time requests. Slots held
+  /// by armed retries stay occupied, keeping the loop closed under rejection.
   void issue_new(BinConn& c) {
     while (c.quota_left > 0 &&
            c.pending.size() + c.retries.size() <
                static_cast<std::size_t>(opt_.pipeline)) {
-      std::uint16_t op = 0;
-      std::uint64_t key = 0, arg = 0;
-      c.mix.sample(&op, &key, &arg);
-      const std::uint64_t id = ++c.next_id;
-      si::serve::wire::encode_request(&c.out, id, op, key, arg);
-      c.pending.emplace(id, PendingReq{si::obs::wall_ns(), op, key, arg});
+      issue(c, si::obs::wall_ns());
       --c.quota_left;
-      ++c.res->sent;
     }
   }
 
-  /// Re-sends retries whose hint deadline passed (all connections).
+  /// Open loop: the timer every arrival wakes the engine through, and each
+  /// connection's first arrival.
+  bool start_arrivals() {
+    tfd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
+    if (tfd_ < 0) return false;
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.ptr = nullptr;
+    ::epoll_ctl(ep_, EPOLL_CTL_ADD, tfd_, &ev);
+    // Timer slack is per thread and 50 µs by default: wake on time instead.
+    ::prctl(PR_SET_TIMERSLACK, 1UL, 0, 0, 0);
+    const double per_conn_rate = opt_.rate / opt_.conns;
+    mean_gap_ns_ = 1e9 / (per_conn_rate > 1 ? per_conn_rate : 1);
+    for (BinConn* c : conns_) schedule(*c, send_start_);
+    return true;
+  }
+
+  /// Draws the connection's next arrival after `from` (exponential gap) and
+  /// queues it while it falls inside the send window.
+  void schedule(BinConn& c, double from) {
+    const double u =
+        (static_cast<double>(c.gap_rng()) + 1.0) / 1.8446744073709552e19;
+    c.next_due = from - std::log(u) * mean_gap_ns_;
+    c.arrivals = c.next_due < send_end_;
+    if (c.arrivals) due_.emplace(c.next_due, &c);
+  }
+
+  /// Open loop: sends every due arrival whatever is already in flight, then
+  /// re-arms the timer for the earliest arrival still to come.
+  void send_due() {
+    const double now = si::obs::wall_ns();
+    while (!due_.empty() && due_.top().first <= now) {
+      BinConn& c = *due_.top().second;
+      due_.pop();
+      if (c.done) continue;
+      issue(c, c.next_due);
+      schedule(c, c.next_due);
+      touched_.push_back(&c);
+    }
+    for (BinConn* c : touched_) {
+      if (!c->done && !flush(*c)) kill(*c);
+    }
+    touched_.clear();
+    if (!due_.empty() && due_.top().first != armed_for_) {
+      armed_for_ = due_.top().first;
+      const auto wait_ns = static_cast<std::int64_t>(
+          std::max(1.0, armed_for_ - now));
+      itimerspec its{};
+      its.it_value.tv_sec = wait_ns / 1'000'000'000;
+      its.it_value.tv_nsec = wait_ns % 1'000'000'000;
+      ::timerfd_settime(tfd_, 0, &its, nullptr);
+    }
+  }
+
+  /// Closed loop: re-sends retries whose hint deadline passed.
   void resend_due() {
     const double now = si::obs::wall_ns();
     for (BinConn* cp : conns_) {
@@ -588,12 +511,15 @@ class BinEngine {
         g_ledger.record(id, it->second.op, it->second.key, it->second.arg);
       } else if (status == static_cast<int>(si::serve::Status::kRejected)) {
         ++c.res->rejected;
-        ++c.res->retries;
-        const double hint_us = value > 0 ? static_cast<double>(value) : 100.0;
-        c.retries.push_back(RetryReq{si::obs::wall_ns() + hint_us * 1000.0, id,
-                                     it->second.op, it->second.key,
-                                     it->second.arg});
-        ++total_retries_;
+        if (!opt_.open_loop) {
+          ++c.res->retries;
+          const double hint_us =
+              value > 0 ? static_cast<double>(value) : 100.0;
+          c.retries.push_back(RetryReq{si::obs::wall_ns() + hint_us * 1000.0,
+                                       id, it->second.op, it->second.key,
+                                       it->second.arg});
+          ++total_retries_;
+        }
       } else {
         ++c.res->failed;
       }
@@ -606,19 +532,9 @@ class BinEngine {
     return true;
   }
 
-  /// Graceful completion: the quota is served and nothing is outstanding.
+  /// Closes the connection. Whatever it still owed (in flight, armed for a
+  /// retry or never issued) is lost; after a graceful run that is nothing.
   void finish(BinConn& c) {
-    ::epoll_ctl(ep_, EPOLL_CTL_DEL, c.fd, nullptr);
-    ::close(c.fd);
-    c.fd = -1;
-    c.done = true;
-    --live_;
-  }
-
-  /// Fatal drop: everything outstanding or unissued on this connection is
-  /// lost (and the retries it held leave the armed count).
-  void kill(BinConn& c) {
-    c.res->io_error = true;
     c.res->lost += c.pending.size() + c.retries.size() + c.quota_left;
     total_retries_ -= c.retries.size();
     ::epoll_ctl(ep_, EPOLL_CTL_DEL, c.fd, nullptr);
@@ -628,9 +544,24 @@ class BinEngine {
     --live_;
   }
 
+  /// Fatal drop: an I/O or protocol error ends the connection.
+  void kill(BinConn& c) {
+    c.res->io_error = true;
+    finish(c);
+  }
+
+  using Arrival = std::pair<double, BinConn*>;
+
   const Options& opt_;
   std::vector<BinConn*> conns_;
+  const double send_start_;
+  const double send_end_;
   int ep_ = -1;
+  int tfd_ = -1;
+  double mean_gap_ns_ = 0.0;
+  double armed_for_ = -1.0;
+  std::priority_queue<Arrival, std::vector<Arrival>, std::greater<>> due_;
+  std::vector<BinConn*> touched_;
   std::size_t live_ = 0;
   std::size_t total_retries_ = 0;
   char chunk_[64 * 1024];
@@ -638,10 +569,12 @@ class BinEngine {
 
 /// Connects every connection up front, partitions them round-robin over the
 /// client threads and runs the engines. Results land in `results`.
-void run_bin_closed_loop(const Options& opt, std::vector<ConnResult>* results) {
+void run_engines(const Options& opt, std::vector<ConnResult>* results) {
   std::vector<std::unique_ptr<BinConn>> conns;
   conns.reserve(static_cast<std::size_t>(opt.conns));
   const std::uint64_t n_conns = static_cast<std::uint64_t>(opt.conns);
+  // Per-connection streams, seeded as each loop always was.
+  const std::uint64_t mix_salt = opt.open_loop ? 0x517CC1ULL : 0x9E3779B9ULL;
   for (int c = 0; c < opt.conns; ++c) {
     std::string err;
     const int fd = si::serve::net::connect_tcp(opt.host, opt.port, &err);
@@ -655,10 +588,13 @@ void run_bin_closed_loop(const Options& opt, std::vector<ConnResult>* results) {
     conn->fd = fd;
     conn->next_id = static_cast<std::uint64_t>(c) << 32;
     const std::uint64_t uc = static_cast<std::uint64_t>(c);
-    conn->quota_left =
-        opt.requests / n_conns + (uc < opt.requests % n_conns ? 1 : 0);
+    if (!opt.open_loop) {
+      conn->quota_left =
+          opt.requests / n_conns + (uc < opt.requests % n_conns ? 1 : 0);
+    }
+    conn->gap_rng = si::util::Xoshiro256(opt.seed ^ (0xA5A5ULL * (uc + 3)));
     conn->mix =
-        MixSampler{si::util::Xoshiro256(opt.seed ^ (0x9E3779B9ULL * (c + 1))),
+        MixSampler{si::util::Xoshiro256(opt.seed ^ (mix_salt * (uc + 1))),
                    opt.ro_pct, opt.range_pct, opt.span, opt.keys, opt.tpcc};
     conn->res = &(*results)[static_cast<std::size_t>(c)];
     conns.push_back(std::move(conn));
@@ -676,13 +612,16 @@ void run_bin_closed_loop(const Options& opt, std::vector<ConnResult>* results) {
   for (std::size_t i = 0; i < conns.size(); ++i) {
     shares[i % static_cast<std::size_t>(n_threads)].push_back(conns[i].get());
   }
+  const double send_start = si::obs::wall_ns();
+  const double send_end = send_start + opt.duration_s * 1e9;
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(n_threads));
   for (auto& share : shares) {
-    threads.emplace_back([&opt, share = std::move(share)]() mutable {
-      BinEngine engine(opt, std::move(share));
-      engine.run();
-    });
+    threads.emplace_back(
+        [&opt, send_start, send_end, share = std::move(share)]() mutable {
+          BinEngine engine(opt, std::move(share), send_start, send_end);
+          engine.run();
+        });
   }
   for (auto& t : threads) t.join();
 }
@@ -705,29 +644,15 @@ int main(int argc, char** argv) {
   opt.range_pct = static_cast<unsigned>(cli.get_int("range", 0));
   opt.span = static_cast<std::uint64_t>(cli.get_int("span", 16));
   opt.keys = static_cast<std::uint64_t>(cli.get_int("keys", 40000));
-  opt.think_us = static_cast<std::uint64_t>(cli.get_int("think-us", 0));
   opt.open_loop = cli.get("mode", "closed") == "open";
   opt.rate = cli.get_double("rate", opt.rate);
   opt.duration_s = cli.get_double("duration-s", opt.duration_s);
   opt.tpcc = cli.has("tpcc");
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
-  const std::string proto = cli.get("proto", "bin");
-  opt.bin = proto == "bin";
-  if (!opt.bin && proto != "text") {
-    std::fprintf(stderr, "unknown protocol: %s\n", proto.c_str());
-    usage(argv[0]);
-    return 2;
-  }
   opt.pipeline = static_cast<int>(cli.get_int("pipeline", 8));
   if (opt.pipeline < 1) opt.pipeline = 1;
   opt.client_threads = static_cast<int>(cli.get_int("client-threads", 2));
   if (opt.conns < 1) opt.conns = 1;
-  if (opt.bin && opt.open_loop) {
-    std::fprintf(stderr,
-                 "open-loop mode runs over the text protocol; use "
-                 "-proto text -mode open\n");
-    return 2;
-  }
   opt.ledger = cli.get("ledger", "");
   if (!opt.ledger.empty() && !g_ledger.open(opt.ledger)) {
     std::fprintf(stderr, "cannot open ledger file: %s\n", opt.ledger.c_str());
@@ -737,30 +662,7 @@ int main(int argc, char** argv) {
   std::vector<ConnResult> results(static_cast<std::size_t>(opt.conns));
 
   const double t0 = si::obs::wall_ns();
-  if (opt.bin) {
-    run_bin_closed_loop(opt, &results);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(opt.conns));
-    for (int c = 0; c < opt.conns; ++c) {
-      ConnResult* out = &results[static_cast<std::size_t>(c)];
-      if (opt.open_loop) {
-        threads.emplace_back([&opt, c, out] { open_loop_conn(opt, c, out); });
-      } else {
-        const std::uint64_t base =
-            opt.requests / static_cast<std::uint64_t>(opt.conns);
-        const std::uint64_t extra =
-            static_cast<std::uint64_t>(c) <
-                    opt.requests % static_cast<std::uint64_t>(opt.conns)
-                ? 1
-                : 0;
-        const std::uint64_t quota = base + extra;
-        threads.emplace_back(
-            [&opt, c, quota, out] { closed_loop_conn(opt, c, quota, out); });
-      }
-    }
-    for (auto& t : threads) t.join();
-  }
+  run_engines(opt, &results);
   const double elapsed_s = (si::obs::wall_ns() - t0) / 1e9;
   g_ledger.close();  // every acked write is on disk before we report
 
@@ -778,10 +680,9 @@ int main(int argc, char** argv) {
     io_error = io_error || r.io_error;
   }
 
-  std::printf("si_loadgen: mode=%s proto=%s conns=%d pipeline=%d "
-              "elapsed=%.2fs\n",
-              opt.open_loop ? "open" : "closed", opt.bin ? "bin" : "text",
-              opt.conns, opt.bin ? opt.pipeline : 1, elapsed_s);
+  std::printf("si_loadgen: mode=%s conns=%d pipeline=%d elapsed=%.2fs\n",
+              opt.open_loop ? "open" : "closed", opt.conns, opt.pipeline,
+              elapsed_s);
   std::printf("  sent=%llu completed=%llu rejected=%llu failed=%llu "
               "lost=%llu misrouted=%llu retries=%llu\n",
               static_cast<unsigned long long>(total.sent),
@@ -801,7 +702,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(total.latency.max()));
   }
   if (opt.open_loop) {
-    const double offered = static_cast<double>(total.sent) / elapsed_s;
+    // Offered load over the send window only: the drain grace after it
+    // sends nothing, so dividing by the whole run would understate it. A run
+    // whose connections all died early closed its window early.
+    const double window_s = std::min(opt.duration_s, elapsed_s);
+    const double offered =
+        window_s > 0 ? static_cast<double>(total.sent) / window_s : 0.0;
     std::printf("  offered=%.0f req/s shed=%.1f%%\n", offered,
                 total.sent > 0 ? 100.0 * static_cast<double>(total.rejected) /
                                      static_cast<double>(total.sent)
@@ -814,7 +720,7 @@ int main(int argc, char** argv) {
   si::bench::JsonSink sink = si::bench::JsonSink::from_cli(cli, "si_loadgen");
   if (sink.enabled()) {
     si::bench::BenchRecord rec;
-    rec.system = cli.get("system", opt.bin ? "serve-bin" : "serve-text");
+    rec.system = cli.get("system", "serve-bin");
     rec.point = cli.get("point", "run");
     rec.threads = opt.conns;
     rec.throughput =

@@ -4,41 +4,26 @@
 //   si_serve -backend si-htm -workload hashmap -shards 2 -port 7070
 //   si_serve -backend silo -workload tpcc -shards 4 -port 0   # ephemeral
 //
-// Two front ends share the service:
-//
-//  * `-proto bin` (default): N epoll reactor threads (serve/reactor.hpp,
-//    `-reactors N`) with SO_REUSEPORT listeners speaking the length-prefixed
-//    binary protocol of serve/wire.hpp — clients pipeline many requests per
-//    connection, completions route back to the owning reactor over MPSC
-//    rings and flush with writev.
-//  * `-proto text`: the original single poll(2) thread speaking the
-//    newline-delimited text protocol (serve/net.hpp), kept for
-//    compatibility and as the baseline the saturation sweep compares
-//    against.
-//
-// Either way, admission-control rejections are answered inline by the front
-// end with Status::kRejected and the retry hint, so overload sheds at the
+// The front end is N epoll reactor threads (serve/reactor.hpp, `-reactors
+// N`) with SO_REUSEPORT listeners speaking the length-prefixed binary
+// protocol of serve/wire.hpp: clients pipeline many requests per connection,
+// completions route back to the owning reactor over MPSC rings and flush
+// with writev. Admission-control rejections are answered inline by the
+// reactor with Status::kRejected and the retry hint, so overload sheds at the
 // socket instead of queueing.
 //
 // Runs until SIGINT/SIGTERM, then drains in-flight requests and prints the
 // service counters plus request-latency percentiles. `-json FILE` also
 // writes an si-bench-v1 record of the run (with provenance).
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <type_traits>
-#include <vector>
 
 #include "bench/common.hpp"
 #include "check/history.hpp"
@@ -54,7 +39,6 @@
 #include "serve/admin.hpp"
 #include "serve/kv_app.hpp"
 #include "serve/map_app.hpp"
-#include "serve/net.hpp"
 #include "serve/reactor.hpp"
 #include "serve/service.hpp"
 #include "serve/telemetry.hpp"
@@ -71,7 +55,7 @@ void usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [-backend si-htm|htm|p8tm|silo|raw-rot]\n"
                "          [-workload hashmap|map|tpcc] [-shards N] [-port P]\n"
-               "          [-proto bin|text] [-reactors N] [-max-outbuf BYTES]\n"
+               "          [-reactors N] [-max-outbuf BYTES]\n"
                "          [-queue-cap N] [-watermark N] [-batch N]\n"
                "          [-adaptive] [-target-p99-us N] [-aimd-epoch-us N]\n"
                "          [-aimd-wakeup-cut N] [-adaptive-retries]\n"
@@ -85,137 +69,30 @@ void usage(const char* prog) {
                prog);
 }
 
-/// One client connection. Worker completion callbacks and the front-end
-/// thread both write lines; `mu` serializes them and `alive` keeps
-/// completions off a closed socket. The fd is non-blocking: writers append
-/// to `outbuf` and flush only what the socket takes right now, the poll
-/// thread pushes the rest out on POLLOUT — a client that stops reading can
-/// stall only its own connection, never a shard worker. The connection is
-/// refcounted: one reference held by the front end, one per in-flight
-/// request.
-struct Conn {
-  /// Outbound-buffer cap: a client this far behind has stopped reading;
-  /// drop it rather than buffer responses without bound.
-  static constexpr std::size_t kMaxOutbuf = 1 << 20;
-
-  int fd = -1;
-  std::string inbuf;
-  std::mutex mu;
-  std::string outbuf;  ///< guarded by mu: bytes the socket has not taken yet
-  bool alive = true;
-  std::atomic<int> refs{1};
-
-  void acquire() { refs.fetch_add(1, std::memory_order_relaxed); }
-
-  void release() {
-    if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      ::close(fd);
-      delete this;
-    }
-  }
-
-  void send_line(const std::string& line) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!alive) return;
-    if (outbuf.size() + line.size() > kMaxOutbuf) {
-      alive = false;
-      return;
-    }
-    outbuf.append(line);
-    if (!flush_locked()) alive = false;
-  }
-
-  /// Whether the poll loop should watch this fd for writability.
-  bool want_write() {
-    std::lock_guard<std::mutex> lock(mu);
-    return alive && !outbuf.empty();
-  }
-
-  /// Flushes as much of `outbuf` as the socket accepts without blocking.
-  /// Requires `mu` held. Returns false on a fatal socket error (EAGAIN just
-  /// leaves the remainder buffered for the next POLLOUT).
-  bool flush_locked() {
-    std::size_t off = 0;
-    while (off < outbuf.size()) {
-      const ssize_t n =
-          ::send(fd, outbuf.data() + off, outbuf.size() - off, MSG_NOSIGNAL);
-      if (n > 0) {
-        off += static_cast<std::size_t>(n);
-      } else if (n < 0 && errno == EINTR) {
-        continue;
-      } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        break;
-      } else {
-        outbuf.clear();
-        return false;
-      }
-    }
-    outbuf.erase(0, off);
-    return true;
-  }
-
-  /// Post-drain flush, once the poll loop has exited: bounded wait for the
-  /// socket to take the remaining responses so a dead client cannot stall
-  /// shutdown.
-  void final_flush() {
-    for (int rounds = 0; rounds < 20; ++rounds) {  // <= ~2 s per connection
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!alive || !flush_locked()) {
-          alive = false;
-          return;
-        }
-        if (outbuf.empty()) return;
-      }
-      pollfd p{fd, POLLOUT, 0};
-      ::poll(&p, 1, 100);
-    }
-  }
-};
-
-void complete_to_conn(void* ctx, const si::serve::Response& resp) {
-  auto* conn = static_cast<Conn*>(ctx);
-  std::string line;
-  si::serve::net::format_response(&line, resp);
-  conn->send_line(line);
-  conn->release();
-}
-
-struct FrontEndStats {
-  std::uint64_t conns_accepted = 0;
-  std::uint64_t requests_parsed = 0;
-  std::uint64_t parse_errors = 0;
-};
-
 /// Starts the admin/observability endpoint when `-admin-port` was given
 /// (DESIGN.md §13). Handlers run on the admin thread and read snapshot
-/// copies only, so a scrape never touches the data plane. `reactor_stats`
-/// (nullable) supplies the reactor pool's counters on the binary front end.
-template <typename ServiceT>
+/// copies only, so a scrape never touches the data plane.
+template <typename ServiceT, typename PoolT>
 std::unique_ptr<si::serve::AdminServer> start_admin(
-    ServiceT& service, si::util::Cli& cli, si::obs::Metrics& metrics,
-    const std::string& backend_name,
-    std::function<si::serve::ReactorStats()> reactor_stats) {
+    ServiceT& service, const PoolT& pool, si::util::Cli& cli,
+    si::obs::Metrics& metrics, const std::string& backend_name) {
   const long long port = cli.get_int("admin-port", -1);
   if (port < 0) return nullptr;
   auto admin =
       std::make_unique<si::serve::AdminServer>(static_cast<std::uint16_t>(port));
   const double t0 = si::obs::wall_ns();
-  auto scrape = [&service, &metrics, backend_name, reactor_stats,
+  auto scrape = [&service, &pool, &metrics, backend_name,
                  t0](bool prometheus) {
     const si::obs::MetricsSnapshot snap = metrics.snapshot();
     const si::serve::AimdState aimd = service.aimd_state();
-    si::serve::ReactorStats rstats;
+    const si::serve::ReactorStats rstats = pool.stats();
     si::serve::DurabilityStats lstats;
     si::serve::TelemetrySources src;
     src.snap = &snap;
     src.counters = service.counters();
     if (service.config().aimd.enabled) src.aimd = &aimd;
     src.series = service.timeseries();
-    if (reactor_stats) {
-      rstats = reactor_stats();
-      src.reactor = &rstats;
-    }
+    src.reactor = &rstats;
     if (service.config().durability.enabled()) {
       lstats = service.durability_stats();
       src.log = &lstats;
@@ -241,151 +118,18 @@ std::unique_ptr<si::serve::AdminServer> start_admin(
   return admin;
 }
 
-/// Poll loop: accept + read + submit until g_stop. Completions write from
-/// the worker threads concurrently.
-template <typename ServiceT>
-void serve_loop(ServiceT& service, int listen_fd, FrontEndStats* stats) {
-  std::vector<Conn*> conns;
-  std::vector<pollfd> pfds;
-  char chunk[8192];
-
-  auto drop_conn = [&](std::size_t idx) {
-    Conn* conn = conns[idx];
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->alive = false;
-    }
-    conn->release();
-    conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(idx));
-  };
-
-  while (!g_stop.load(std::memory_order_relaxed)) {
-    pfds.clear();
-    pfds.push_back({listen_fd, POLLIN, 0});
-    for (Conn* conn : conns) {
-      const short ev =
-          static_cast<short>(POLLIN | (conn->want_write() ? POLLOUT : 0));
-      pfds.push_back({conn->fd, ev, 0});
-    }
-    const int ready = ::poll(pfds.data(), pfds.size(), /*timeout_ms=*/100);
-    if (ready <= 0) continue;
-
-    // pfds[1..n_polled] mirror conns[0..n_polled-1] as polled; accept()
-    // below may grow conns, so the revents loop must not run past the
-    // snapshot.
-    const std::size_t n_polled = conns.size();
-
-    if (pfds[0].revents & POLLIN) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd >= 0) {
-        const int fl = ::fcntl(fd, F_GETFL, 0);
-        ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
-        auto* conn = new Conn;
-        conn->fd = fd;
-        conns.push_back(conn);
-        ++stats->conns_accepted;
-      }
-    }
-
-    // Iterate backwards so dropping a connection keeps earlier indices valid.
-    for (std::size_t i = n_polled; i-- > 0;) {
-      const pollfd& p = pfds[i + 1];
-      if ((p.revents & (POLLERR | POLLNVAL)) != 0) {
-        drop_conn(i);
-        continue;
-      }
-      Conn* conn = conns[i];
-      {
-        // A worker may have marked the connection dead (write failure or
-        // outbound-buffer cap); reap it here.
-        bool ok;
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          ok = conn->alive;
-          if (ok && (p.revents & POLLOUT) != 0) ok = conn->flush_locked();
-        }
-        if (!ok) {
-          drop_conn(i);
-          continue;
-        }
-      }
-      if ((p.revents & POLLIN) == 0) {
-        // POLLHUP without readable data: the peer is gone and nothing is
-        // left to read out of the socket buffer.
-        if ((p.revents & POLLHUP) != 0) drop_conn(i);
-        continue;
-      }
-      const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
-        continue;  // spurious wakeup on the non-blocking fd
-      }
-      if (n <= 0) {
-        drop_conn(i);
-        continue;
-      }
-      conn->inbuf.append(chunk, static_cast<std::size_t>(n));
-
-      std::size_t start = 0;
-      for (;;) {
-        const std::size_t nl = conn->inbuf.find('\n', start);
-        if (nl == std::string::npos) break;
-        const std::string line = conn->inbuf.substr(start, nl - start);
-        start = nl + 1;
-
-        si::serve::Request req;
-        if (!si::serve::net::parse_request(line, &req.id, &req.op, &req.key,
-                                           &req.arg)) {
-          ++stats->parse_errors;
-          si::serve::Response resp;
-          resp.id = 0;
-          resp.status = si::serve::Status::kFailed;
-          std::string out;
-          si::serve::net::format_response(&out, resp);
-          conn->send_line(out);
-          continue;
-        }
-        ++stats->requests_parsed;
-        req.done = complete_to_conn;
-        req.ctx = conn;
-        conn->acquire();
-        const auto sr = service.submit(req);
-        if (!sr.accepted()) {
-          conn->release();  // the request never reached a worker
-          si::serve::Response resp;
-          resp.id = req.id;
-          resp.status = si::serve::Status::kRejected;
-          resp.value = sr.retry_hint_us;
-          std::string out;
-          si::serve::net::format_response(&out, resp);
-          conn->send_line(out);
-        }
-      }
-      conn->inbuf.erase(0, start);
-    }
-  }
-
-  // Shutdown: drain while the connections are still alive, so responses for
-  // in-flight requests reach their clients. stop() returns once every
-  // accepted request has completed (appending its response to the
-  // connection's outbuf); then push out what the sockets had not yet taken
-  // and close.
-  service.stop();
-  for (Conn* conn : conns) conn->final_flush();
-  while (!conns.empty()) drop_conn(conns.size() - 1);
-}
-
-/// Post-run reporting shared by both front ends: service counters, latency
-/// percentiles, AIMD state and the optional si-bench-v1 JSON record.
+/// Post-run reporting: front-end and service counters, latency percentiles,
+/// AIMD state and the optional si-bench-v1 JSON record.
 template <typename ServiceT>
 int report_run(ServiceT& service, si::util::Cli& cli,
                si::obs::Metrics& metrics, const std::string& backend_name,
-               const FrontEndStats& fes) {
+               const si::serve::ReactorStats& rs) {
   const auto c = service.counters();
   const auto snap = metrics.snapshot();
   std::printf("si_serve: conns=%llu parsed=%llu parse-errors=%llu\n",
-              static_cast<unsigned long long>(fes.conns_accepted),
-              static_cast<unsigned long long>(fes.requests_parsed),
-              static_cast<unsigned long long>(fes.parse_errors));
+              static_cast<unsigned long long>(rs.conns_accepted),
+              static_cast<unsigned long long>(rs.requests),
+              static_cast<unsigned long long>(rs.parse_errors));
   std::printf("si_serve: accepted=%llu completed=%llu failed=%llu "
               "rejected-busy=%llu rejected-full=%llu rejected-stopped=%llu\n",
               static_cast<unsigned long long>(c.accepted),
@@ -480,36 +224,10 @@ int report_run(ServiceT& service, si::util::Cli& cli,
   return c.failed == 0 ? 0 : 1;
 }
 
-/// `-proto text`: the original single poll(2) thread (the baseline the
-/// saturation sweep compares the reactors against).
+/// Serves until SIGINT/SIGTERM on the multi-reactor epoll front end, then
+/// drains and reports.
 template <typename ServiceT>
-int run_text_front_end(ServiceT& service, si::util::Cli& cli,
-                       si::obs::Metrics& metrics,
-                       const std::string& backend_name) {
-  std::string err;
-  const auto port = static_cast<std::uint16_t>(cli.get_int("port", 7070));
-  const int listen_fd = si::serve::net::listen_tcp(port, &err);
-  if (listen_fd < 0) {
-    std::fprintf(stderr, "si_serve: %s\n", err.c_str());
-    return 2;
-  }
-  std::printf("si_serve: listening on 127.0.0.1:%u (%s, %d shards, text)\n",
-              si::serve::net::local_port(listen_fd), backend_name.c_str(),
-              service.shards());
-  std::fflush(stdout);
-
-  auto admin = start_admin(service, cli, metrics, backend_name, nullptr);
-  FrontEndStats fes;
-  serve_loop(service, listen_fd, &fes);  // drains + flushes before returning
-  ::close(listen_fd);
-  service.stop();  // idempotent; serve_loop already stopped and drained
-  if (admin) admin->stop();  // after the drain, so a final scrape reconciles
-  return report_run(service, cli, metrics, backend_name, fes);
-}
-
-/// `-proto bin` (default): the multi-reactor epoll front end.
-template <typename ServiceT>
-int run_reactor_front_end(ServiceT& service, si::util::Cli& cli,
+int run_front_end(ServiceT& service, si::util::Cli& cli,
                           si::obs::Metrics& metrics,
                           const std::string& backend_name) {
   si::serve::ReactorConfig rcfg;
@@ -527,8 +245,7 @@ int run_reactor_front_end(ServiceT& service, si::util::Cli& cli,
     return 2;
   }
   std::printf(
-      "si_serve: listening on 127.0.0.1:%u (%s, %d shards, bin, "
-      "%d reactors)\n",
+      "si_serve: listening on 127.0.0.1:%u (%s, %d shards, %d reactors)\n",
       pool.port(), backend_name.c_str(), service.shards(), pool.reactors());
   std::fflush(stdout);
 
@@ -543,8 +260,7 @@ int run_reactor_front_end(ServiceT& service, si::util::Cli& cli,
     *flushes = rs.flushes;
     *bytes_out = rs.bytes_out;
   });
-  auto admin = start_admin(service, cli, metrics, backend_name,
-                           [&pool] { return pool.stats(); });
+  auto admin = start_admin(service, pool, cli, metrics, backend_name);
 
   while (!g_stop.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -569,26 +285,7 @@ int run_reactor_front_end(ServiceT& service, si::util::Cli& cli,
       static_cast<unsigned long long>(
           rsnap.reactor_flush_bytes.quantile(0.50)),
       static_cast<unsigned long long>(rs.overflow_drops));
-
-  FrontEndStats fes;
-  fes.conns_accepted = rs.conns_accepted;
-  fes.requests_parsed = rs.requests;
-  fes.parse_errors = rs.parse_errors;
-  return report_run(service, cli, metrics, backend_name, fes);
-}
-
-template <typename ServiceT>
-int run_front_end(ServiceT& service, si::util::Cli& cli,
-                  si::obs::Metrics& metrics, const std::string& backend_name) {
-  const std::string proto = cli.get("proto", "bin");
-  if (proto == "text") {
-    return run_text_front_end(service, cli, metrics, backend_name);
-  }
-  if (proto != "bin") {
-    std::fprintf(stderr, "unknown protocol: %s\n", proto.c_str());
-    return 2;
-  }
-  return run_reactor_front_end(service, cli, metrics, backend_name);
+  return report_run(service, cli, metrics, backend_name, rs);
 }
 
 /// `-recover`: scan the shard logs, replay the trusted records into `app`
