@@ -231,26 +231,17 @@ si::util::RunStats run_leg(Leg leg, int threads, double virtual_ns,
   mcfg.topo.smt = 1;
   si::sim::SimEngine eng(mcfg, threads);
   auto workload = make_workload(threads);
-  auto drive = [&](auto& cc) {
-    return eng.run(virtual_ns, [&](int tid) { workload->step(cc, tid); });
-  };
-  switch (leg) {
-    case Leg::kSiHtmSlim: {
-      si::sim::SimSiHtm cc(eng, 10, 0, nullptr, {}, si::util::SglImpl::kSlim,
-                           /*sgl_shared_ro=*/true);
-      return drive(cc);
-    }
-    case Leg::kSiHtmTtas: {
-      si::sim::SimSiHtm cc(eng, 10, 0, nullptr, {}, si::util::SglImpl::kTtas,
-                           /*sgl_shared_ro=*/false);
-      return drive(cc);
-    }
-    case Leg::kHtmSgl: {
-      si::sim::SimHtmSgl cc(eng, 10, nullptr, {}, si::util::SglImpl::kSlim);
-      return drive(cc);
-    }
-  }
-  return {};
+  const bool ttas = leg == Leg::kSiHtmTtas;
+  const si::protocol::SimSubstrateConfig scfg{
+      .sgl_impl = ttas ? si::util::SglImpl::kTtas : si::util::SglImpl::kSlim,
+      .sgl_shared_ro = !ttas};
+  return si::sim::with_sim_backend(
+      leg == Leg::kHtmSgl ? si::runtime::Backend::kHtm
+                          : si::runtime::Backend::kSiHtm,
+      eng, scfg, 10,
+      [&](auto& cc) {
+        return eng.run(virtual_ns, [&](int tid) { workload->step(cc, tid); });
+      });
 }
 
 struct PanelResult {

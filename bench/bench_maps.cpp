@@ -92,9 +92,9 @@ int main(int argc, char** argv) {
   }
   const auto sweep = si::bench::Sweep::from_cli(cli);
   auto sink = si::bench::JsonSink::from_cli(cli, "bench_maps");
-  const std::vector<si::bench::System> systems = {
-      si::bench::System::kHtm, si::bench::System::kSiHtm,
-      si::bench::System::kP8tm, si::bench::System::kSilo};
+  const std::vector<si::bench::Backend> systems = {
+      si::bench::Backend::kHtm, si::bench::Backend::kSiHtm,
+      si::bench::Backend::kP8tm, si::bench::Backend::kSilo};
 
   const std::string which = cli.get("struct", "all");
   std::vector<si::maps::Struct> structs;

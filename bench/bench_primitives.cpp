@@ -10,10 +10,9 @@
 #include <string_view>
 #include <vector>
 
-#include "baselines/silo.hpp"
 #include "bench/common.hpp"
 #include "p8htm/htm.hpp"
-#include "sihtm/sihtm.hpp"
+#include "protocol/tm.hpp"
 #include "sim/backends.hpp"
 #include "sim/engine.hpp"
 #include "util/cacheline.hpp"
@@ -198,7 +197,7 @@ void BM_PlainLoad(benchmark::State& state) {
 BENCHMARK(BM_PlainLoad);
 
 void BM_SiHtmExecuteReadOnly(benchmark::State& state) {
-  si::sihtm::SiHtm cc;
+  si::protocol::SiHtm cc;
   cc.register_thread(0);
   Cell c;
   for (auto _ : state) {
@@ -210,7 +209,7 @@ void BM_SiHtmExecuteReadOnly(benchmark::State& state) {
 BENCHMARK(BM_SiHtmExecuteReadOnly);
 
 void BM_SiHtmExecuteUpdate(benchmark::State& state) {
-  si::sihtm::SiHtm cc;
+  si::protocol::SiHtm cc;
   cc.register_thread(0);
   Cell c;
   for (auto _ : state) {
@@ -220,7 +219,7 @@ void BM_SiHtmExecuteUpdate(benchmark::State& state) {
 BENCHMARK(BM_SiHtmExecuteUpdate);
 
 void BM_SiloExecuteUpdate(benchmark::State& state) {
-  si::baselines::Silo cc;
+  si::protocol::Silo cc;
   cc.register_thread(0);
   Cell c;
   for (auto _ : state) {

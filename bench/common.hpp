@@ -22,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "runtime/backend.hpp"
 #include "sim/backends.hpp"
 #include "sim/engine.hpp"
 #include "util/cli.hpp"
@@ -43,23 +44,13 @@ inline constexpr const char* kBuildType = SI_BUILD_TYPE;
 inline constexpr const char* kBuildType = "unknown";
 #endif
 
-enum class System { kHtm, kSiHtm, kP8tm, kSilo };
+using si::runtime::Backend;
 
 /// Interactive progress marker; suppressed when stderr is redirected so
 /// captured bench output stays clean.
 inline void progress_dot(char c = '.') {
   static const bool tty = isatty(2) != 0;
   if (tty) std::fputc(c, stderr);
-}
-
-inline const char* name_of(System s) {
-  switch (s) {
-    case System::kHtm: return "HTM";
-    case System::kSiHtm: return "SI-HTM";
-    case System::kP8tm: return "P8TM";
-    case System::kSilo: return "Silo";
-  }
-  return "?";
 }
 
 struct Sweep {
@@ -130,12 +121,12 @@ class JsonSink {
     if (enabled()) records_.push_back(std::move(rec));
   }
 
-  void add(const std::string& point, System system, int threads,
+  void add(const std::string& point, Backend system, int threads,
            const si::util::RunStats& rs,
            const si::obs::MetricsSnapshot* m = nullptr) {
     if (!enabled()) return;
     BenchRecord rec;
-    rec.system = name_of(system);
+    rec.system = si::runtime::to_string(system);
     rec.point = point;
     rec.threads = threads;
     rec.throughput = rs.throughput();
@@ -268,34 +259,16 @@ class JsonSink {
 /// attaches tracing/metrics sinks; the hooks never advance virtual time, so
 /// the simulated results are identical with and without them.
 template <typename MakeWorkload>
-si::util::RunStats run_point(System system, int threads, double virtual_ns,
+si::util::RunStats run_point(Backend system, int threads, double virtual_ns,
                              MakeWorkload&& make_workload,
                              si::obs::ObsConfig obs = {}) {
   si::sim::SimMachineConfig mcfg;  // the paper's machine: 10 cores, SMT-8
   si::sim::SimEngine eng(mcfg, threads);
   auto workload = make_workload(threads);
-  auto drive = [&](auto& cc) {
-    return eng.run(virtual_ns, [&](int tid) { workload->step(cc, tid); });
-  };
-  switch (system) {
-    case System::kHtm: {
-      si::sim::SimHtmSgl cc(eng, 10, nullptr, obs);
-      return drive(cc);
-    }
-    case System::kSiHtm: {
-      si::sim::SimSiHtm cc(eng, 10, 0, nullptr, obs);
-      return drive(cc);
-    }
-    case System::kP8tm: {
-      si::sim::SimP8tm cc(eng, 10, nullptr, obs);
-      return drive(cc);
-    }
-    case System::kSilo: {
-      si::sim::SimSilo cc(eng, nullptr, obs);
-      return drive(cc);
-    }
-  }
-  return {};
+  return si::sim::with_sim_backend(
+      system, eng, {.obs = obs}, 10, [&](auto& cc) {
+        return eng.run(virtual_ns, [&](int tid) { workload->step(cc, tid); });
+      });
 }
 
 /// Full panel: every system over the sweep; prints the paper-style block.
@@ -307,12 +280,12 @@ si::util::RunStats run_point(System system, int threads, double virtual_ns,
 /// writes a Chrome trace; each point overwrites it, so the file ends up
 /// holding the panel's last (system, threads) point.
 template <typename MakeWorkload>
-void run_panel(const std::string& title, const std::vector<System>& systems,
+void run_panel(const std::string& title, const std::vector<Backend>& systems,
                const Sweep& sweep, double tx_scale, MakeWorkload&& make_workload,
                JsonSink* sink = nullptr, const std::string& trace_path = {}) {
   std::printf("== %s ==\n", title.c_str());
   const bool want_obs = (sink && sink->enabled()) || !trace_path.empty();
-  for (System system : systems) {
+  for (Backend system : systems) {
     std::vector<si::util::SeriesPoint> points;
     for (int n : sweep.threads) {
       if (want_obs) {
@@ -327,9 +300,10 @@ void run_panel(const std::string& title, const std::vector<System>& systems,
         if (!trace_path.empty()) {
           std::ofstream os(trace_path);
           if (os) {
-            si::obs::write_chrome_trace(os, tracer,
-                                        std::string(name_of(system)) + " " +
-                                            std::to_string(n) + "t");
+            si::obs::write_chrome_trace(
+                os, tracer,
+                std::string(si::runtime::to_string(system)) + " " +
+                    std::to_string(n) + "t");
           } else {
             std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
           }
@@ -341,7 +315,8 @@ void run_panel(const std::string& title, const std::vector<System>& systems,
       }
       progress_dot();
     }
-    si::util::print_series(std::cout, name_of(system), points, tx_scale);
+    si::util::print_series(std::cout, si::runtime::to_string(system), points,
+                           tx_scale);
   }
   progress_dot('\n');
   std::printf("\n");

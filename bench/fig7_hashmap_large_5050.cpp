@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
   si::util::Cli cli(argc, argv);
   const auto sweep = si::bench::Sweep::from_cli(cli);
   auto sink = si::bench::JsonSink::from_cli(cli, "fig7_hashmap_large_5050");
-  const std::vector<si::bench::System> systems = {si::bench::System::kHtm,
-                                                  si::bench::System::kSiHtm};
+  const std::vector<si::bench::Backend> systems = {si::bench::Backend::kHtm,
+                                                  si::bench::Backend::kSiHtm};
 
   const int zoo = si::bench::run_struct_panels(
       cli, "Fig.7", systems, sweep, /*avg_chain=*/200, /*ro_pct=*/50, &sink);

@@ -21,9 +21,9 @@ int main(int argc, char** argv) {
   // windows by default so low thread counts still commit enough work.
   if (!cli.has("ms")) sweep.virtual_ns = 5e6;
   auto sink = si::bench::JsonSink::from_cli(cli, "fig9_tpcc_standard");
-  const std::vector<si::bench::System> systems = {
-      si::bench::System::kHtm, si::bench::System::kSiHtm,
-      si::bench::System::kP8tm, si::bench::System::kSilo};
+  const std::vector<si::bench::Backend> systems = {
+      si::bench::Backend::kHtm, si::bench::Backend::kSiHtm,
+      si::bench::Backend::kP8tm, si::bench::Backend::kSilo};
 
   for (const bool high_contention : {false, true}) {
     si::tpcc::DbConfig dcfg;

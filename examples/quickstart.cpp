@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "sihtm/sihtm.hpp"
+#include "protocol/tm.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
   constexpr int kAccounts = 64;
   constexpr std::uint64_t kInitial = 1000;
 
-  si::sihtm::SiHtmConfig cfg;
-  cfg.max_threads = n_threads;
-  si::sihtm::SiHtm runtime(cfg);
+  // The substrate's config sizes the state array; the core's (second,
+  // defaulted) config holds the retry budget.
+  si::protocol::SiHtm runtime({.max_threads = n_threads});
 
   std::vector<Account> accounts(kAccounts);
   for (auto& a : accounts) a.balance = kInitial;

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,33 +22,14 @@
 namespace {
 
 template <typename MakeWorkload>
-si::util::RunStats run_point(const std::string& backend, int threads,
+si::util::RunStats run_point(si::runtime::Backend backend, int threads,
                              double duration_ns, MakeWorkload&& make_workload) {
   si::sim::SimMachineConfig mcfg;
   si::sim::SimEngine eng(mcfg, threads);
   auto workload = make_workload(threads);
-
-  auto drive = [&](auto& cc) {
+  return si::sim::with_sim_backend(backend, eng, {}, 10, [&](auto& cc) {
     return eng.run(duration_ns, [&](int tid) { workload->step(cc, tid); });
-  };
-  if (backend == "si-htm") {
-    si::sim::SimSiHtm cc(eng);
-    return drive(cc);
-  }
-  if (backend == "htm") {
-    si::sim::SimHtmSgl cc(eng);
-    return drive(cc);
-  }
-  if (backend == "p8tm") {
-    si::sim::SimP8tm cc(eng);
-    return drive(cc);
-  }
-  if (backend == "silo") {
-    si::sim::SimSilo cc(eng);
-    return drive(cc);
-  }
-  std::fprintf(stderr, "unknown backend '%s'\n", backend.c_str());
-  std::exit(1);
+  });
 }
 
 }  // namespace
@@ -65,6 +47,13 @@ int main(int argc, char** argv) {
   }
   const std::string workload = cli.get("workload", "hashmap");
   const std::string backend = cli.get("backend", "si-htm");
+  si::runtime::Backend which;
+  try {
+    which = si::runtime::backend_from_string(backend);
+  } catch (const std::invalid_argument&) {
+    std::fprintf(stderr, "unknown backend '%s'\n", backend.c_str());
+    return 1;
+  }
   const auto thread_counts =
       si::util::parse_int_list(cli.get("threads"), {1, 2, 4, 8, 16, 32, 40, 80});
   const double duration_ns = cli.get_double("ms", 2.0) * 1e6;
@@ -77,7 +66,7 @@ int main(int argc, char** argv) {
       wcfg.buckets = static_cast<std::size_t>(cli.get_int("buckets", 1000));
       wcfg.avg_chain = static_cast<std::size_t>(cli.get_int("chain", 200));
       wcfg.ro_pct = static_cast<unsigned>(cli.get_int("ro", 90));
-      stats = run_point(backend, n, duration_ns, [&](int threads) {
+      stats = run_point(which, n, duration_ns, [&](int threads) {
         return std::make_unique<si::hashmap::Workload>(wcfg, threads);
       });
     } else {
@@ -89,7 +78,7 @@ int main(int argc, char** argv) {
       const auto mix = cli.get("mix", "standard") == "read-dominated"
                            ? si::tpcc::Mix::read_dominated()
                            : si::tpcc::Mix::standard();
-      stats = run_point(backend, n, duration_ns, [&](int threads) {
+      stats = run_point(which, n, duration_ns, [&](int threads) {
         return std::make_unique<si::tpcc::Workload>(dcfg, mix, threads);
       });
     }

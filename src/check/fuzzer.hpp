@@ -32,37 +32,13 @@
 #include "maps/btree.hpp"
 #include "maps/maps.hpp"
 #include "maps/skiplist.hpp"
+#include "runtime/backend.hpp"
 #include "sim/backends.hpp"
 #include "sim/engine.hpp"
 #include "util/cacheline.hpp"
 #include "util/rng.hpp"
 
 namespace si::check {
-
-/// Simulated backends the fuzzer can drive. kRawRot is SI-HTM minus the
-/// safety wait (the UNSAFE ablation of bench/ablation_quiescence.cpp) — it
-/// exists so tests can assert the checker *catches* the resulting anomalies.
-enum class FuzzBackend { kSiHtm, kHtmSgl, kSilo, kP8tm, kRawRot };
-
-inline std::string_view to_string(FuzzBackend b) noexcept {
-  switch (b) {
-    case FuzzBackend::kSiHtm: return "si-htm";
-    case FuzzBackend::kHtmSgl: return "htm";
-    case FuzzBackend::kSilo: return "silo";
-    case FuzzBackend::kP8tm: return "p8tm";
-    case FuzzBackend::kRawRot: return "raw-rot";
-  }
-  return "?";
-}
-
-inline FuzzBackend fuzz_backend_from_string(std::string_view name) {
-  if (name == "si-htm" || name == "sihtm") return FuzzBackend::kSiHtm;
-  if (name == "htm" || name == "htm-sgl") return FuzzBackend::kHtmSgl;
-  if (name == "silo") return FuzzBackend::kSilo;
-  if (name == "p8tm") return FuzzBackend::kP8tm;
-  if (name == "raw-rot" || name == "rawrot") return FuzzBackend::kRawRot;
-  throw std::invalid_argument("unknown fuzz backend: " + std::string(name));
-}
 
 /// Which workload a schedule drives: the classic ledger + notepad, or one of
 /// the concurrent-map structures (src/maps/) hammered through the same
@@ -88,8 +64,12 @@ inline FuzzStruct fuzz_struct_from_string(std::string_view name) {
                               " (want ledger|skiplist|bst|btree)");
 }
 
+/// Any runtime::Backend runs simulated. Backend::kRawRot is SI-HTM minus
+/// the safety wait (the UNSAFE ablation of bench/ablation_quiescence.cpp) —
+/// it exists so tests can assert the checker *catches* the resulting
+/// anomalies.
 struct FuzzConfig {
-  FuzzBackend backend = FuzzBackend::kSiHtm;
+  si::runtime::Backend backend = si::runtime::Backend::kSiHtm;
   FuzzStruct structure = FuzzStruct::kLedger;
   int threads = 4;
   int map_elements = 32;             ///< map structs: keys pre-seeded
@@ -100,7 +80,8 @@ struct FuzzConfig {
   unsigned note_pct = 35;  ///< % of steps that are note writes (rest: transfers)
   double virtual_ns = 40000;  ///< virtual deadline of one schedule
   double jitter_ns = 150;     ///< schedule perturbation per wait point
-  double straggler_kill_after_ns = 0;  ///< SI-HTM killing policy (0 = off)
+  /// SI-HTM killing policy (0 = off); any other backend rejects a value > 0.
+  double straggler_kill_after_ns = 0;
   int retries = 8;
   bool keep_history = false;  ///< retain the full event log in the report
 };
@@ -372,36 +353,12 @@ inline ScheduleReport run_schedule_with(const FuzzConfig& cfg,
   Workload w(cfg, seed);
   w.record_init(rec);
 
-  auto drive = [&](auto& cc) {
-    eng.run(cfg.virtual_ns, [&](int tid) { w.step(cc, tid); });
-  };
-  switch (cfg.backend) {
-    case FuzzBackend::kSiHtm: {
-      si::sim::SimSiHtm cc(eng, cfg.retries, cfg.straggler_kill_after_ns, &rec);
-      drive(cc);
-      break;
-    }
-    case FuzzBackend::kHtmSgl: {
-      si::sim::SimHtmSgl cc(eng, cfg.retries, &rec);
-      drive(cc);
-      break;
-    }
-    case FuzzBackend::kSilo: {
-      si::sim::SimSilo cc(eng, &rec);
-      drive(cc);
-      break;
-    }
-    case FuzzBackend::kP8tm: {
-      si::sim::SimP8tm cc(eng, cfg.retries, &rec);
-      drive(cc);
-      break;
-    }
-    case FuzzBackend::kRawRot: {
-      si::sim::SimRawRot cc(eng, cfg.retries, &rec);
-      drive(cc);
-      break;
-    }
-  }
+  si::sim::with_sim_backend(
+      cfg.backend, eng,
+      {.straggler_kill_after_ns = cfg.straggler_kill_after_ns, .recorder = &rec},
+      cfg.retries, [&](auto& cc) {
+        eng.run(cfg.virtual_ns, [&](int tid) { w.step(cc, tid); });
+      });
 
   ScheduleReport r;
   r.seed = seed;
@@ -421,8 +378,15 @@ inline ScheduleReport run_schedule_with(const FuzzConfig& cfg,
 }
 
 /// Dispatches on FuzzConfig::structure (the ledger default or one of the map
-/// structures) and runs the schedule.
+/// structures) and runs the schedule. Throws std::invalid_argument for a
+/// straggler-kill threshold on a backend without the killing policy.
 inline ScheduleReport run_schedule(const FuzzConfig& cfg, std::uint64_t seed) {
+  if (cfg.straggler_kill_after_ns > 0 &&
+      cfg.backend != si::runtime::Backend::kSiHtm) {
+    throw std::invalid_argument(
+        "straggler killing (kill-ns) is an SI-HTM policy; backend " +
+        std::string(si::runtime::cli_name(cfg.backend)) + " has none");
+  }
   switch (cfg.structure) {
     case FuzzStruct::kLedger:
       return run_schedule_with<FuzzWorkload>(cfg, seed);

@@ -9,10 +9,10 @@
 // (check/verify.hpp) replays the log and decides whether the history is
 // admissible under Snapshot Isolation.
 //
-// The recorder is attached to a backend through its config (real-thread
-// backends: SiHtmConfig/HtmSglConfig/P8tmConfig/SiloConfig/RuntimeConfig) or
-// constructor (sim backends); a null pointer means recording is off and the
-// hooks cost a single predictable branch.
+// The recorder is attached to a backend through its substrate's config
+// (RealSubstrateConfig / SimSubstrateConfig) or RuntimeConfig; a null
+// pointer means recording is off and the hooks cost a single predictable
+// branch.
 //
 // Ordering guarantee: inside the deterministic simulator every hook runs
 // with no intervening fiber switch between a data access taking effect and

@@ -66,6 +66,8 @@ class HtmSglCore {
     bool hw_;
   };
 
+  using Config = HtmSglCoreConfig;
+
   HtmSglCore(S& sub, HtmSglCoreConfig cfg = {}) : sub_(sub), cfg_(cfg) {}
 
   /// Runs `body` as one serializable transaction. `is_ro` is accepted for

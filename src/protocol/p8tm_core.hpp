@@ -39,7 +39,6 @@ namespace si::protocol {
 
 struct P8tmCoreConfig {
   int retries = 10;
-  unsigned version_table_bits = 20;
   RetryBudgetConfig retry_budget{};
 };
 
@@ -107,10 +106,16 @@ class P8tmCore {
     TxPath path_;
   };
 
+  using Config = P8tmCoreConfig;
+
+  /// log2 of the hashed version-table size (collisions only cause false
+  /// conflicts).
+  static constexpr unsigned kVersionTableBits = 20;
+
   P8tmCore(S& sub, P8tmCoreConfig cfg = {})
       : sub_(sub),
         cfg_(cfg),
-        versions_(cfg.version_table_bits),
+        versions_(kVersionTableBits),
         logs_(static_cast<std::size_t>(sub.n_threads())) {}
 
   template <typename Body>

@@ -62,6 +62,12 @@ struct RealSubstrateConfig {
 
 class RealSubstrate {
  public:
+  using Config = RealSubstrateConfig;
+
+  /// Silo's bound on spins over a locked line before an optimistic read
+  /// aborts; a spin here is one short backoff pause.
+  static constexpr int kMaxReadSpins = 1024;
+
   explicit RealSubstrate(RealSubstrateConfig cfg = {})
       : cfg_(cfg),
         rt_(cfg.htm),
@@ -268,7 +274,7 @@ class RealSubstrate {
   void charge_read(std::size_t) {}
   void charge_write_buffer() {}
 
-  // --- escape hatches for wrappers/tests ------------------------------------
+  // --- escape hatches for the Tm holder and tests ---------------------------
 
   si::p8::HtmRuntime& htm() noexcept { return rt_; }
   std::vector<si::util::ThreadStats>& thread_stats() {

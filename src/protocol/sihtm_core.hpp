@@ -91,6 +91,8 @@ class SiHtmCore {
     TxPath path_;
   };
 
+  using Config = SiHtmCoreConfig;
+
   SiHtmCore(S& sub, SiHtmCoreConfig cfg = {}) : sub_(sub), cfg_(cfg) {}
 
   /// Runs `body(Tx&)` as one SI transaction, retrying/falling back as needed
@@ -228,12 +230,6 @@ class SiHtmCore {
       ++st.sgl_commits;
     }
   }
-
-  /// Exposed for tests: the state-array slot of a thread.
-  std::uint64_t state_of(int tid) const { return sub_.state(tid); }
-
-  S& substrate() noexcept { return sub_; }
-  const SiHtmCoreConfig& core_config() const noexcept { return cfg_; }
 
   /// Exposed for tests: a thread's current abort EWMA and budget.
   double abort_ewma_of(int tid) const noexcept {
@@ -396,8 +392,16 @@ class SiHtmCore {
   RetryBudget budgets_[si::p8::kMaxThreads];
 };
 
-/// The ablated transcription under its own name, so instantiation sites read
-/// as the algorithm they run.
+/// The raw-ROT ablation: SI-HTM with the safety wait compiled out, under its
+/// own name so instantiation sites read as the algorithm they run.
+///
+/// UNSAFE by design: update ROTs issue HTMEnd straight after the body and
+/// retry forever (no SGL fall-back, so a capacity-overflowing transaction
+/// livelocks), and read-only transactions skip the state table entirely —
+/// admitting exactly the snapshot anomalies of paper Fig. 3. Exists so
+/// bench/ablation_quiescence can price the safety wait and so the
+/// fuzzer/checker can demonstrate the anomalies it prevents; never use it as
+/// a concurrency control.
 template <Substrate S>
 using RawRotCore = SiHtmCore<S, /*SafetyWait=*/false>;
 

@@ -38,10 +38,9 @@
 
 namespace si::protocol {
 
-struct SiloCoreConfig {
-  unsigned version_table_bits = 20;
-  int max_read_spins = 1024;  ///< spins on a locked line before aborting
-};
+/// Silo has no settable knobs; the empty config keeps Tm's construction
+/// uniform across cores.
+struct SiloCoreConfig {};
 
 template <Substrate S>
 class SiloCore {
@@ -103,7 +102,7 @@ class SiloCore {
             break;
           }
         }
-        if (spin >= owner_.cfg_.max_read_spins) {
+        if (spin >= S::kMaxReadSpins) {
           throw si::p8::TxAbort{si::util::AbortCause::kConflictRead};
         }
         poller.poll();
@@ -146,10 +145,15 @@ class SiloCore {
     SiloCore& owner_;
   };
 
-  SiloCore(S& sub, SiloCoreConfig cfg = {})
+  using Config = SiloCoreConfig;
+
+  /// log2 of the hashed version-table size (collisions only cause false
+  /// conflicts).
+  static constexpr unsigned kVersionTableBits = 20;
+
+  explicit SiloCore(S& sub, SiloCoreConfig = {})
       : sub_(sub),
-        cfg_(cfg),
-        versions_(cfg.version_table_bits),
+        versions_(kVersionTableBits),
         ctxs_(static_cast<std::size_t>(sub.n_threads())) {}
 
   /// Runs `body` as one serializable OCC transaction, retrying until commit.
@@ -291,7 +295,6 @@ class SiloCore {
   }
 
   S& sub_;
-  SiloCoreConfig cfg_;
   si::baselines::VersionTable versions_;
   std::vector<Ctx> ctxs_;
 };

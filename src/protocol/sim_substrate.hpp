@@ -54,6 +54,13 @@ struct SimSubstrateConfig {
 
 class SimSubstrate {
  public:
+  using Config = SimSubstrateConfig;
+
+  /// Silo's bound on spins over a locked line before an optimistic read
+  /// aborts. Lower than the real substrate's because in virtual time each
+  /// spin costs a full quiesce_poll.
+  static constexpr int kMaxReadSpins = 64;
+
   explicit SimSubstrate(si::sim::SimEngine& eng, SimSubstrateConfig cfg = {})
       : eng_(eng),
         cfg_(cfg),
@@ -303,7 +310,9 @@ class SimSubstrate {
   }
   void charge_write_buffer() { eng_.wait(lat().mem_access); }
 
-  si::sim::SimEngine& engine() noexcept { return eng_; }
+  std::vector<si::util::ThreadStats>& thread_stats() {
+    return eng_.thread_stats();
+  }
 
  private:
   const si::sim::SimLatencies& lat() const { return eng_.config().lat; }

@@ -28,6 +28,9 @@
 // form; S denotes the substrate, t a thread id):
 //
 //  identity / bookkeeping
+//    S::Config                    the substrate's own config struct
+//    S::kMaxReadSpins             spins on a locked line before a Silo
+//                                 optimistic read aborts
 //    s.tid()                      thread id of the calling thread/fiber
 //    s.n_threads()                size of the state array (N in Algorithm 1)
 //    s.stats(t)                   mutable per-thread counters
@@ -145,6 +148,8 @@ concept Substrate = requires(S s, int t, std::uint64_t ts, void* dst,
                              const void* src, std::size_t n,
                              si::util::AbortCause cause,
                              si::util::ThreadStats& st, std::uint64_t* out) {
+  typename S::Config;
+  { S::kMaxReadSpins } -> std::convertible_to<int>;
   { s.tid() } -> std::convertible_to<int>;
   { s.n_threads() } -> std::convertible_to<int>;
   { s.stats(t) } -> std::same_as<si::util::ThreadStats&>;

@@ -18,16 +18,20 @@ namespace si::runtime {
 /// Clears per-phase counters a backend keeps outside its ThreadStats: the
 /// HTM emulation's fast-path telemetry, and any attached obs metrics sink
 /// (latency histograms + abort taxonomy). Without this, a warm-up phase's
-/// hits and aborts leak into the measured phase. Backends without the
-/// respective accessor (Silo, sim glue) skip that piece.
+/// hits and aborts leak into the measured phase. The pieces are reached
+/// through a real-substrate Tm's substrate() or the Runtime's config();
+/// backends with neither (sim) skip them.
 template <typename CC>
 void reset_phase_counters(CC& cc) {
   for (auto& st : cc.thread_stats()) st = si::util::ThreadStats{};
-  if constexpr (requires { cc.htm().reset_fast_path_stats(); }) {
-    cc.htm().reset_fast_path_stats();
-  }
-  if constexpr (requires { cc.config().obs.metrics; }) {
-    if (cc.config().obs.metrics != nullptr) cc.config().obs.metrics->reset();
+  auto reset_metrics = [](const auto& cfg) {
+    if (cfg.obs.metrics != nullptr) cfg.obs.metrics->reset();
+  };
+  if constexpr (requires { cc.substrate().htm(); }) {
+    cc.substrate().htm().reset_fast_path_stats();
+    reset_metrics(cc.substrate().config());
+  } else if constexpr (requires { cc.config().obs.metrics; }) {
+    reset_metrics(cc.config());
   }
 }
 

@@ -1,35 +1,26 @@
 // Unified façade over the concurrency-control backends the paper evaluates
 // (section 4) — HTM, SI-HTM, P8TM, Silo — plus the unsafe raw-ROT ablation
-// (SI-HTM without the safety wait; see baselines/raw_rot.hpp).
+// (SI-HTM without the safety wait; see RawRotCore in protocol/sihtm_core.hpp).
 //
-// Workload code written against the generic transaction-handle concept
-// (`read`, `write`, `read_bytes`, `write_bytes`) runs unmodified on any
-// backend; `Runtime::execute` dispatches through a generic lambda, so there
-// is no virtual call on the access path.
+// All five share one RealSubstrate; the selected core sits next to it in a
+// variant. Workload code written against the generic transaction-handle
+// concept (`read`, `write`, `read_bytes`, `write_bytes`) runs unmodified on
+// any backend; `Runtime::execute` is one std::visit, so there is no virtual
+// call on the access path.
 #pragma once
 
-#include <memory>
 #include <stdexcept>
-#include <string_view>
+#include <variant>
+#include <vector>
 
-#include "baselines/htm_sgl.hpp"
-#include "baselines/p8tm.hpp"
-#include "baselines/raw_rot.hpp"
-#include "baselines/silo.hpp"
 #include "check/history.hpp"
 #include "obs/obs.hpp"
 #include "protocol/retry_budget.hpp"
-#include "sihtm/sihtm.hpp"
+#include "protocol/tm.hpp"
+#include "runtime/backend.hpp"
 #include "util/stats.hpp"
 
 namespace si::runtime {
-
-enum class Backend { kHtm, kSiHtm, kP8tm, kSilo, kRawRot };
-
-std::string_view to_string(Backend b) noexcept;
-
-/// Parses "htm" / "si-htm" / "p8tm" / "silo" / "raw-rot" (bench CLI names).
-Backend backend_from_string(std::string_view name);
 
 struct RuntimeConfig {
   Backend backend = Backend::kSiHtm;
@@ -64,108 +55,64 @@ struct RuntimeConfig {
 
 class Runtime {
  public:
-  explicit Runtime(const RuntimeConfig& cfg) : cfg_(cfg), backend_(cfg.backend) {
-    switch (cfg.backend) {
-      case Backend::kHtm:
-        htm_ = std::make_unique<si::baselines::HtmSgl>(si::baselines::HtmSglConfig{
-            .htm = cfg.htm, .max_threads = cfg.max_threads, .retries = cfg.retries,
-            .retry_budget = cfg.retry_budget, .recorder = cfg.recorder,
-            .obs = cfg.obs});
-        break;
-      case Backend::kSiHtm:
-        sihtm_ = std::make_unique<si::sihtm::SiHtm>(si::sihtm::SiHtmConfig{
-            .htm = cfg.htm, .max_threads = cfg.max_threads, .retries = cfg.retries,
-            .retry_budget = cfg.retry_budget, .recorder = cfg.recorder,
-            .obs = cfg.obs});
-        break;
-      case Backend::kP8tm:
-        p8tm_ = std::make_unique<si::baselines::P8tm>(si::baselines::P8tmConfig{
-            .htm = cfg.htm, .max_threads = cfg.max_threads, .retries = cfg.retries,
-            .retry_budget = cfg.retry_budget, .recorder = cfg.recorder,
-            .obs = cfg.obs});
-        break;
-      case Backend::kSilo:
-        silo_ = std::make_unique<si::baselines::Silo>(si::baselines::SiloConfig{
-            .max_threads = cfg.max_threads, .recorder = cfg.recorder,
-            .obs = cfg.obs});
-        break;
-      case Backend::kRawRot:
-        raw_rot_ = std::make_unique<si::baselines::RawRot>(si::baselines::RawRotConfig{
-            .htm = cfg.htm, .max_threads = cfg.max_threads,
-            .recorder = cfg.recorder, .obs = cfg.obs});
-        break;
-    }
-  }
+  explicit Runtime(const RuntimeConfig& cfg)
+      : cfg_(cfg),
+        sub_({.htm = cfg.htm, .max_threads = cfg.max_threads,
+              .recorder = cfg.recorder, .obs = cfg.obs}),
+        core_(make_core(cfg, sub_)) {}
 
-  Backend backend() const noexcept { return backend_; }
+  Backend backend() const noexcept { return cfg_.backend; }
 
   /// The configuration the runtime was built with. Phase hygiene: the
   /// driver's reset_phase_counters() reaches the obs sinks through here.
   const RuntimeConfig& config() const noexcept { return cfg_; }
 
-  void register_thread(int tid) {
-    if (htm_) htm_->register_thread(tid);
-    if (sihtm_) sihtm_->register_thread(tid);
-    if (p8tm_) p8tm_->register_thread(tid);
-    if (silo_) silo_->register_thread(tid);
-    if (raw_rot_) raw_rot_->register_thread(tid);
-  }
+  void register_thread(int tid) { sub_.register_thread(tid); }
 
   /// Runs `body(auto& tx)` as one transaction on the configured backend.
   /// The body must be a generic callable (it is instantiated once per
   /// backend transaction-handle type).
   template <typename Body>
   void execute(bool is_ro, Body&& body) {
-    if (sihtm_) {
-      sihtm_->execute(is_ro, body);
-    } else if (htm_) {
-      htm_->execute(is_ro, body);
-    } else if (p8tm_) {
-      p8tm_->execute(is_ro, body);
-    } else if (raw_rot_) {
-      raw_rot_->execute(is_ro, body);
-    } else {
-      silo_->execute(is_ro, body);
-    }
+    std::visit([&](auto& core) { core.execute(is_ro, body); }, core_);
     if (cfg_.on_commit.fn != nullptr) cfg_.on_commit.fn(cfg_.on_commit.ctx, is_ro);
   }
 
   std::vector<si::util::ThreadStats>& thread_stats() {
-    if (sihtm_) return sihtm_->thread_stats();
-    if (htm_) return htm_->thread_stats();
-    if (p8tm_) return p8tm_->thread_stats();
-    if (raw_rot_) return raw_rot_->thread_stats();
-    return silo_->thread_stats();
+    return sub_.thread_stats();
   }
 
  private:
-  RuntimeConfig cfg_;
-  Backend backend_;
-  std::unique_ptr<si::baselines::HtmSgl> htm_;
-  std::unique_ptr<si::sihtm::SiHtm> sihtm_;
-  std::unique_ptr<si::baselines::P8tm> p8tm_;
-  std::unique_ptr<si::baselines::Silo> silo_;
-  std::unique_ptr<si::baselines::RawRot> raw_rot_;
-};
+  using Sub = si::protocol::RealSubstrate;
+  using Core = std::variant<si::protocol::HtmSglCore<Sub>, si::protocol::SiHtmCore<Sub>,
+                            si::protocol::P8tmCore<Sub>, si::protocol::SiloCore<Sub>,
+                            si::protocol::RawRotCore<Sub>>;
 
-inline std::string_view to_string(Backend b) noexcept {
-  switch (b) {
-    case Backend::kHtm: return "HTM";
-    case Backend::kSiHtm: return "SI-HTM";
-    case Backend::kP8tm: return "P8TM";
-    case Backend::kSilo: return "Silo";
-    case Backend::kRawRot: return "raw-ROT";
+  /// Builds the selected core in place. Silo retries until commit and
+  /// raw-ROT never falls back, so neither takes the retry settings.
+  static Core make_core(const RuntimeConfig& cfg, Sub& sub) {
+    using namespace si::protocol;
+    switch (cfg.backend) {
+      case Backend::kHtm:
+        return Core(std::in_place_type<HtmSglCore<Sub>>, sub,
+                    HtmSglCoreConfig{cfg.retries, cfg.retry_budget});
+      case Backend::kSiHtm:
+        return Core(std::in_place_type<SiHtmCore<Sub>>, sub,
+                    SiHtmCoreConfig{cfg.retries, cfg.retry_budget});
+      case Backend::kP8tm:
+        return Core(std::in_place_type<P8tmCore<Sub>>, sub,
+                    P8tmCoreConfig{cfg.retries, cfg.retry_budget});
+      case Backend::kSilo:
+        return Core(std::in_place_type<SiloCore<Sub>>, sub);
+      case Backend::kRawRot:
+        return Core(std::in_place_type<RawRotCore<Sub>>, sub);
+    }
+    throw std::logic_error("unreachable backend");
   }
-  return "?";
-}
 
-inline Backend backend_from_string(std::string_view name) {
-  if (name == "htm" || name == "HTM") return Backend::kHtm;
-  if (name == "si-htm" || name == "sihtm" || name == "SI-HTM") return Backend::kSiHtm;
-  if (name == "p8tm" || name == "P8TM") return Backend::kP8tm;
-  if (name == "silo" || name == "Silo") return Backend::kSilo;
-  if (name == "raw-rot" || name == "rawrot" || name == "raw-ROT") return Backend::kRawRot;
-  throw std::invalid_argument("unknown backend: " + std::string(name));
-}
+  RuntimeConfig cfg_;
+  Sub sub_;
+  Core core_;
+};
 
 }  // namespace si::runtime

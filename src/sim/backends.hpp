@@ -1,179 +1,56 @@
-// Virtual-time embodiments of the concurrency-control protocols the paper
-// evaluates: the single protocol transcriptions under src/protocol/
-// instantiated over SimSubstrate. Each class exposes the same backend
-// concept as the real-thread wrappers (`execute(is_ro, body)`,
-// `thread_stats()`), so the templated workloads (hash map, TPC-C) drive
-// them unmodified inside the simulator. This header is instantiation glue
-// only — the protocol bodies live in src/protocol/, the latency model in
-// protocol/sim_substrate.hpp (DESIGN.md section 5).
+// The protocol cores on the simulator: Tm<SimSubstrate, Core> under the
+// names the benches and the fuzzer use, plus the one Backend-keyed dispatch
+// every simulated front end goes through (DESIGN.md section 5).
 #pragma once
 
-#include <utility>
-#include <vector>
+#include <stdexcept>
+#include <type_traits>
 
-#include "check/history.hpp"
-#include "protocol/htm_sgl_core.hpp"
-#include "protocol/p8tm_core.hpp"
-#include "protocol/sihtm_core.hpp"
-#include "protocol/silo_core.hpp"
 #include "protocol/sim_substrate.hpp"
+#include "protocol/tm.hpp"
+#include "runtime/backend.hpp"
 #include "sim/engine.hpp"
-#include "util/stats.hpp"
 
 namespace si::sim {
 
-// ---------------------------------------------------------------------------
-// SI-HTM
-// ---------------------------------------------------------------------------
+using SimSiHtm = si::protocol::Tm<si::protocol::SimSubstrate, si::protocol::SiHtmCore>;
+using SimHtmSgl = si::protocol::Tm<si::protocol::SimSubstrate, si::protocol::HtmSglCore>;
+using SimP8tm = si::protocol::Tm<si::protocol::SimSubstrate, si::protocol::P8tmCore>;
+using SimSilo = si::protocol::Tm<si::protocol::SimSubstrate, si::protocol::SiloCore>;
+using SimRawRot = si::protocol::Tm<si::protocol::SimSubstrate, si::protocol::RawRotCore>;
 
-using SimSiHtmTx = si::protocol::SiHtmCore<si::protocol::SimSubstrate>::Tx;
-
-class SimSiHtm {
- public:
-  /// `straggler_kill_after_ns` > 0 enables the paper's future-work "killing
-  /// alternative": a completed transaction that has safety-waited longer
-  /// than the threshold on one straggler kills its hardware transaction.
-  /// `sgl_impl`/`sgl_shared_ro` mirror SiHtmConfig: the slim-lock vs. TTAS
-  /// SGL model and the read-only shared-mode overlap door (bench_contention
-  /// compares the two legs; DESIGN.md section 11).
-  explicit SimSiHtm(SimEngine& eng, int retries = 10,
-                    double straggler_kill_after_ns = 0,
-                    si::check::HistoryRecorder* rec = nullptr,
-                    si::obs::ObsConfig obs = {},
-                    si::util::SglImpl sgl_impl = si::util::SglImpl::kSlim,
-                    bool sgl_shared_ro = true)
-      : sub_(eng, {straggler_kill_after_ns, rec, obs, sgl_impl, sgl_shared_ro}),
-        core_(sub_, {retries}) {}
-
-  template <typename Body>
-  void execute(bool is_ro, Body&& body) {
-    core_.execute(is_ro, std::forward<Body>(body));
+/// Builds the simulated backend `b` on `eng` and returns `fn(cc)`. `retries`
+/// is the ROT budget of the cores that have one (Silo retries until commit).
+/// Only SI-HTM arms the straggler guard, so `cfg.straggler_kill_after_ns`
+/// is inert for the others.
+template <typename Fn>
+std::invoke_result_t<Fn&, SimSiHtm&> with_sim_backend(
+    si::runtime::Backend b, SimEngine& eng, si::protocol::SimSubstrateConfig cfg,
+    int retries, Fn&& fn) {
+  using si::runtime::Backend;
+  switch (b) {
+    case Backend::kHtm: {
+      SimHtmSgl cc(eng, cfg, {.retries = retries});
+      return fn(cc);
+    }
+    case Backend::kSiHtm: {
+      SimSiHtm cc(eng, cfg, {.retries = retries});
+      return fn(cc);
+    }
+    case Backend::kP8tm: {
+      SimP8tm cc(eng, cfg, {.retries = retries});
+      return fn(cc);
+    }
+    case Backend::kSilo: {
+      SimSilo cc(eng, cfg);
+      return fn(cc);
+    }
+    case Backend::kRawRot: {
+      SimRawRot cc(eng, cfg, {.retries = retries});
+      return fn(cc);
+    }
   }
-
-  std::vector<si::util::ThreadStats>& thread_stats() {
-    return sub_.engine().thread_stats();
-  }
-
- private:
-  si::protocol::SimSubstrate sub_;
-  si::protocol::SiHtmCore<si::protocol::SimSubstrate> core_;
-};
-
-// ---------------------------------------------------------------------------
-// Plain HTM + early-subscribed SGL
-// ---------------------------------------------------------------------------
-
-using SimHtmSglTx = si::protocol::HtmSglCore<si::protocol::SimSubstrate>::Tx;
-
-class SimHtmSgl {
- public:
-  explicit SimHtmSgl(SimEngine& eng, int retries = 10,
-                     si::check::HistoryRecorder* rec = nullptr,
-                     si::obs::ObsConfig obs = {},
-                     si::util::SglImpl sgl_impl = si::util::SglImpl::kSlim)
-      : sub_(eng, {/*straggler_kill_after_ns=*/0, rec, obs, sgl_impl}),
-        core_(sub_, {retries}) {}
-
-  template <typename Body>
-  void execute(bool is_ro, Body&& body) {
-    core_.execute(is_ro, std::forward<Body>(body));
-  }
-
-  std::vector<si::util::ThreadStats>& thread_stats() {
-    return sub_.engine().thread_stats();
-  }
-
- private:
-  si::protocol::SimSubstrate sub_;
-  si::protocol::HtmSglCore<si::protocol::SimSubstrate> core_;
-};
-
-// ---------------------------------------------------------------------------
-// P8TM: ROT + software read tracking + quiescence + validation
-// ---------------------------------------------------------------------------
-
-using SimP8tmTx = si::protocol::P8tmCore<si::protocol::SimSubstrate>::Tx;
-
-class SimP8tm {
- public:
-  explicit SimP8tm(SimEngine& eng, int retries = 10,
-                   si::check::HistoryRecorder* rec = nullptr,
-                   si::obs::ObsConfig obs = {})
-      : sub_(eng, {/*straggler_kill_after_ns=*/0, rec, obs}),
-        core_(sub_, {retries, /*version_table_bits=*/20}) {}
-
-  template <typename Body>
-  void execute(bool is_ro, Body&& body) {
-    core_.execute(is_ro, std::forward<Body>(body));
-  }
-
-  std::vector<si::util::ThreadStats>& thread_stats() {
-    return sub_.engine().thread_stats();
-  }
-
- private:
-  si::protocol::SimSubstrate sub_;
-  si::protocol::P8tmCore<si::protocol::SimSubstrate> core_;
-};
-
-// ---------------------------------------------------------------------------
-// Silo (OCC)
-// ---------------------------------------------------------------------------
-
-using SimSiloTx = si::protocol::SiloCore<si::protocol::SimSubstrate>::Tx;
-
-class SimSilo {
- public:
-  explicit SimSilo(SimEngine& eng, si::check::HistoryRecorder* rec = nullptr,
-                   si::obs::ObsConfig obs = {})
-      : sub_(eng, {/*straggler_kill_after_ns=*/0, rec, obs}),
-        // 64-spin read bound: in virtual time each spin costs a full
-        // quiesce_poll, so the old sim bound is kept rather than the
-        // real-thread default.
-        core_(sub_, {/*version_table_bits=*/20, /*max_read_spins=*/64}) {}
-
-  template <typename Body>
-  void execute(bool is_ro, Body&& body) {
-    core_.execute(is_ro, std::forward<Body>(body));
-  }
-
-  std::vector<si::util::ThreadStats>& thread_stats() {
-    return sub_.engine().thread_stats();
-  }
-
- private:
-  si::protocol::SimSubstrate sub_;
-  si::protocol::SiloCore<si::protocol::SimSubstrate> core_;
-};
-
-// ---------------------------------------------------------------------------
-// Raw-ROT ablation (UNSAFE; see baselines/raw_rot.hpp)
-// ---------------------------------------------------------------------------
-
-using SimRawRotTx = si::protocol::RawRotCore<si::protocol::SimSubstrate>::Tx;
-
-class SimRawRot {
- public:
-  /// `retries` is accepted for signature parity with the other backends but
-  /// ignored: raw-ROT has no SGL fall-back and retries forever.
-  explicit SimRawRot(SimEngine& eng, int retries = 10,
-                     si::check::HistoryRecorder* rec = nullptr,
-                     si::obs::ObsConfig obs = {})
-      : sub_(eng, {/*straggler_kill_after_ns=*/0, rec, obs}),
-        core_(sub_, {retries}) {}
-
-  template <typename Body>
-  void execute(bool is_ro, Body&& body) {
-    core_.execute(is_ro, std::forward<Body>(body));
-  }
-
-  std::vector<si::util::ThreadStats>& thread_stats() {
-    return sub_.engine().thread_stats();
-  }
-
- private:
-  si::protocol::SimSubstrate sub_;
-  si::protocol::RawRotCore<si::protocol::SimSubstrate> core_;
-};
+  throw std::logic_error("unreachable backend");
+}
 
 }  // namespace si::sim

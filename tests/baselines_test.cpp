@@ -7,10 +7,8 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/htm_sgl.hpp"
-#include "baselines/p8tm.hpp"
-#include "baselines/silo.hpp"
 #include "baselines/version_table.hpp"
+#include "protocol/tm.hpp"
 #include "runtime/driver.hpp"
 #include "runtime/runtime.hpp"
 #include "util/backoff.hpp"
@@ -55,7 +53,7 @@ TEST(VersionTableTest, UnlockWithoutBumpKeepsVersion) {
 // --- HTM + SGL ---------------------------------------------------------------
 
 TEST(HtmSglTest, CommitsSimpleTx) {
-  si::baselines::HtmSgl cc;
+  si::protocol::HtmSgl cc;
   cc.register_thread(0);
   Cell x;
   cc.execute(false, [&](auto& tx) { tx.write(&x.v, std::uint64_t{5}); });
@@ -64,9 +62,7 @@ TEST(HtmSglTest, CommitsSimpleTx) {
 }
 
 TEST(HtmSglTest, LargeFootprintFallsBackToSglWithCapacityAborts) {
-  si::baselines::HtmSglConfig cfg;
-  cfg.retries = 3;
-  si::baselines::HtmSgl cc(cfg);
+  si::protocol::HtmSgl cc({}, {.retries = 3});
   cc.register_thread(0);
   std::vector<Cell> cells(200);
   std::uint64_t sum = 0;
@@ -83,9 +79,7 @@ TEST(HtmSglTest, LargeFootprintFallsBackToSglWithCapacityAborts) {
 }
 
 TEST(HtmSglTest, SglAcquisitionKillsSubscribedTx) {
-  si::baselines::HtmSglConfig cfg;
-  cfg.retries = 1;
-  si::baselines::HtmSgl cc(cfg);
+  si::protocol::HtmSgl cc({}, {.retries = 1});
   std::vector<Cell> big(100);
   Cell x;
   std::atomic<bool> victim_in_tx{false}, sgl_done{false};
@@ -98,7 +92,7 @@ TEST(HtmSglTest, SglAcquisitionKillsSubscribedTx) {
       // Park inside the attempt; the SGL acquisition must kill us, so poll.
       si::util::Backoff b;
       while (!sgl_done.load(std::memory_order_acquire)) {
-        cc.htm().check_killed();
+        cc.substrate().htm().check_killed();
         b.pause();
       }
       tx.write(&x.v, std::uint64_t{1});
@@ -123,7 +117,7 @@ TEST(HtmSglTest, SglAcquisitionKillsSubscribedTx) {
 }
 
 TEST(HtmSglTest, SerializableTransfers) {
-  si::baselines::HtmSgl cc;
+  si::protocol::HtmSgl cc;
   constexpr int kAccounts = 8;
   std::vector<Cell> accounts(kAccounts);
   for (auto& a : accounts) a.v = 100;
@@ -147,7 +141,7 @@ TEST(HtmSglTest, SerializableTransfers) {
 // --- P8TM ----------------------------------------------------------------
 
 TEST(P8tmTest, CommitsUpdateAndReadOnly) {
-  si::baselines::P8tm cc;
+  si::protocol::P8tm cc;
   cc.register_thread(0);
   Cell x;
   cc.execute(false, [&](auto& tx) { tx.write(&x.v, std::uint64_t{3}); });
@@ -161,7 +155,7 @@ TEST(P8tmTest, CommitsUpdateAndReadOnly) {
 TEST(P8tmTest, LargeReadSetUpdateCommits) {
   // P8TM also stretches capacity: update reads are software-tracked, not
   // TMCAM-tracked.
-  si::baselines::P8tm cc;
+  si::protocol::P8tm cc;
   cc.register_thread(0);
   std::vector<Cell> cells(300);
   Cell out;
@@ -179,7 +173,7 @@ TEST(P8tmTest, WriteSkewIsPreventedBySerializability) {
   // (see SiHtmSemantics.WriteSkewIsAllowed) must stay serializable under
   // P8TM: read {x, y}, write one of them to 0 only if the sum is still 2.
   // Serializable outcomes zero exactly one cell; SI would zero both.
-  si::baselines::P8tm cc;
+  si::protocol::P8tm cc;
   Cell x, y;
   x.v = 1;
   y.v = 1;
@@ -215,7 +209,7 @@ TEST(P8tmTest, WriteSkewIsPreventedBySerializability) {
 }
 
 TEST(P8tmTest, SerializableTransfers) {
-  si::baselines::P8tm cc;
+  si::protocol::P8tm cc;
   constexpr int kAccounts = 8;
   std::vector<Cell> accounts(kAccounts);
   for (auto& a : accounts) a.v = 100;
@@ -239,7 +233,7 @@ TEST(P8tmTest, SerializableTransfers) {
 // --- Silo ----------------------------------------------------------------
 
 TEST(SiloTest, ReadOwnBufferedWrites) {
-  si::baselines::Silo cc;
+  si::protocol::Silo cc;
   cc.register_thread(0);
   Cell x;
   x.v = 1;
@@ -253,7 +247,7 @@ TEST(SiloTest, ReadOwnBufferedWrites) {
 }
 
 TEST(SiloTest, WritesInvisibleUntilCommit) {
-  si::baselines::Silo cc;
+  si::protocol::Silo cc;
   Cell x;
   std::atomic<bool> wrote{false}, checked{false};
   std::uint64_t observed = ~0ull;
@@ -279,7 +273,7 @@ TEST(SiloTest, WritesInvisibleUntilCommit) {
 }
 
 TEST(SiloTest, PartialOverlayOnWideRead) {
-  si::baselines::Silo cc;
+  si::protocol::Silo cc;
   cc.register_thread(0);
   struct alignas(kLineSize) Pair {
     std::uint64_t a = 1, b = 2;
@@ -296,7 +290,7 @@ TEST(SiloTest, PartialOverlayOnWideRead) {
 }
 
 TEST(SiloTest, SerializableTransfers) {
-  si::baselines::Silo cc;
+  si::protocol::Silo cc;
   constexpr int kAccounts = 8;
   std::vector<Cell> accounts(kAccounts);
   for (auto& a : accounts) a.v = 100;
@@ -364,7 +358,29 @@ TEST(RuntimeFacadeTest2, BackendFromString) {
   EXPECT_EQ(backend_from_string("si-htm"), Backend::kSiHtm);
   EXPECT_EQ(backend_from_string("p8tm"), Backend::kP8tm);
   EXPECT_EQ(backend_from_string("silo"), Backend::kSilo);
+  EXPECT_EQ(backend_from_string("raw-rot"), Backend::kRawRot);
   EXPECT_THROW(backend_from_string("nope"), std::invalid_argument);
+
+  // Every spelling si_serve or si_fuzz has ever accepted.
+  EXPECT_EQ(backend_from_string("sihtm"), Backend::kSiHtm);
+  EXPECT_EQ(backend_from_string("htm-sgl"), Backend::kHtm);
+  EXPECT_EQ(backend_from_string("rawrot"), Backend::kRawRot);
+  EXPECT_EQ(backend_from_string("HTM"), Backend::kHtm);
+  EXPECT_EQ(backend_from_string("SI-HTM"), Backend::kSiHtm);
+  EXPECT_EQ(backend_from_string("P8TM"), Backend::kP8tm);
+  EXPECT_EQ(backend_from_string("Silo"), Backend::kSilo);
+  EXPECT_EQ(backend_from_string("raw-ROT"), Backend::kRawRot);
+
+  // The printed names: display names in bench rows and si_serve, CLI names
+  // in si_fuzz. Both round-trip through the parser.
+  EXPECT_EQ(si::runtime::to_string(Backend::kSiHtm), "SI-HTM");
+  EXPECT_EQ(si::runtime::cli_name(Backend::kSiHtm), "si-htm");
+  EXPECT_EQ(si::runtime::cli_name(Backend::kRawRot), "raw-rot");
+  for (const Backend b : {Backend::kHtm, Backend::kSiHtm, Backend::kP8tm,
+                          Backend::kSilo, Backend::kRawRot}) {
+    EXPECT_EQ(backend_from_string(si::runtime::to_string(b)), b);
+    EXPECT_EQ(backend_from_string(si::runtime::cli_name(b)), b);
+  }
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 
 #include "runtime/driver.hpp"
 #include "runtime/runtime.hpp"
-#include "sihtm/sihtm.hpp"
+#include "protocol/tm.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -84,9 +84,9 @@ TEST(DriverTest, ResetPhaseCountersZeroesFastPathTelemetry) {
   // Uses SiHtm directly (it exposes htm()): thread_stats() re-mirrors the
   // emulation's fast-path counters on harvest, so a reset that missed the
   // HtmRuntime side would resurrect the old hits here.
-  si::sihtm::SiHtmConfig cc_cfg;
+  si::protocol::RealSubstrateConfig cc_cfg;
   cc_cfg.max_threads = 2;
-  si::sihtm::SiHtm cc(cc_cfg);
+  si::protocol::SiHtm cc(cc_cfg);
   struct alignas(128) Cell {
     std::uint64_t v = 0;
   } cells[4];
@@ -101,7 +101,7 @@ TEST(DriverTest, ResetPhaseCountersZeroesFastPathTelemetry) {
   ASSERT_GT(first.totals.fast_path.hits + first.totals.fast_path.misses, 0u);
 
   reset_phase_counters(cc);
-  const auto totals = cc.htm().fast_path_totals();
+  const auto totals = cc.substrate().htm().fast_path_totals();
   EXPECT_EQ(totals.hits, 0u);
   EXPECT_EQ(totals.misses, 0u);
   EXPECT_EQ(si::util::aggregate(cc.thread_stats(), 0.0).totals.fast_path.hits,

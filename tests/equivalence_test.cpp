@@ -16,10 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "baselines/htm_sgl.hpp"
-#include "baselines/p8tm.hpp"
-#include "baselines/raw_rot.hpp"
-#include "baselines/silo.hpp"
 #include "check/history.hpp"
 #include "check/verify.hpp"
 #include "maps/bst.hpp"
@@ -29,7 +25,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "sihtm/sihtm.hpp"
+#include "protocol/tm.hpp"
 #include "sim/backends.hpp"
 #include "sim/engine.hpp"
 #include "util/cacheline.hpp"
@@ -194,12 +190,11 @@ class EquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EquivalenceTest, SiHtm) {
   const auto script = make_script(GetParam(), /*with_capacity_stress=*/true);
-  const auto real = run_real<si::sihtm::SiHtm>(script, [](auto& rec) {
-    return si::sihtm::SiHtm({.max_threads = 8, .recorder = &rec});
+  const auto real = run_real<si::protocol::SiHtm>(script, [](auto& rec) {
+    return si::protocol::SiHtm({.max_threads = 8, .recorder = &rec});
   });
   const auto sim = run_sim<si::sim::SimSiHtm>(script, [](auto& eng, auto& rec) {
-    return si::sim::SimSiHtm(eng, /*retries=*/10,
-                             /*straggler_kill_after_ns=*/0, &rec);
+    return si::sim::SimSiHtm(eng, {.recorder = &rec});
   });
   expect_equivalent(real, sim);
   // The stressor must actually have exercised the capacity path.
@@ -213,13 +208,13 @@ TEST_P(EquivalenceTest, SiHtmFastPathToggle) {
   // same script must produce identical accounting and final state, and only
   // the enabled run may report ownership-cache hits.
   const auto script = make_script(GetParam(), /*with_capacity_stress=*/true);
-  const auto fast = run_real<si::sihtm::SiHtm>(script, [](auto& rec) {
-    return si::sihtm::SiHtm({.max_threads = 8, .recorder = &rec});
+  const auto fast = run_real<si::protocol::SiHtm>(script, [](auto& rec) {
+    return si::protocol::SiHtm({.max_threads = 8, .recorder = &rec});
   });
   si::p8::HtmConfig slow_htm;
   slow_htm.owned_line_fast_path = false;
-  const auto slow = run_real<si::sihtm::SiHtm>(script, [&](auto& rec) {
-    return si::sihtm::SiHtm(
+  const auto slow = run_real<si::protocol::SiHtm>(script, [&](auto& rec) {
+    return si::protocol::SiHtm(
         {.htm = slow_htm, .max_threads = 8, .recorder = &rec});
   });
   expect_equivalent(fast, slow);
@@ -236,11 +231,11 @@ TEST_P(EquivalenceTest, SiHtmTracingOnOff) {
   si::obs::Tracer tracer(8);
   si::obs::Metrics metrics(8);
   const si::obs::ObsConfig obs{&tracer, &metrics};
-  const auto traced = run_real<si::sihtm::SiHtm>(script, [&](auto& rec) {
-    return si::sihtm::SiHtm({.max_threads = 8, .recorder = &rec, .obs = obs});
+  const auto traced = run_real<si::protocol::SiHtm>(script, [&](auto& rec) {
+    return si::protocol::SiHtm({.max_threads = 8, .recorder = &rec, .obs = obs});
   });
-  const auto plain = run_real<si::sihtm::SiHtm>(script, [](auto& rec) {
-    return si::sihtm::SiHtm({.max_threads = 8, .recorder = &rec});
+  const auto plain = run_real<si::protocol::SiHtm>(script, [](auto& rec) {
+    return si::protocol::SiHtm({.max_threads = 8, .recorder = &rec});
   });
   expect_equivalent(traced, plain);
   if (si::obs::kTraceEnabled) {  // stubs record nothing under SI_TRACE=0
@@ -251,14 +246,12 @@ TEST_P(EquivalenceTest, SiHtmTracingOnOff) {
   si::obs::Tracer sim_tracer(1);
   const auto sim_traced =
       run_sim<si::sim::SimSiHtm>(script, [&](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec,
-                                 si::obs::ObsConfig{&sim_tracer, nullptr});
+        return si::sim::SimSiHtm(eng, {.recorder = &rec,
+                                       .obs = si::obs::ObsConfig{&sim_tracer, nullptr}});
       });
   const auto sim_plain =
       run_sim<si::sim::SimSiHtm>(script, [](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec);
+        return si::sim::SimSiHtm(eng, {.recorder = &rec});
       });
   expect_equivalent(sim_traced, sim_plain);
   if (si::obs::kTraceEnabled) EXPECT_GT(sim_tracer.emitted(0), 0u);
@@ -266,11 +259,11 @@ TEST_P(EquivalenceTest, SiHtmTracingOnOff) {
 
 TEST_P(EquivalenceTest, HtmSgl) {
   const auto script = make_script(GetParam(), /*with_capacity_stress=*/true);
-  const auto real = run_real<si::baselines::HtmSgl>(script, [](auto& rec) {
-    return si::baselines::HtmSgl({.max_threads = 8, .recorder = &rec});
+  const auto real = run_real<si::protocol::HtmSgl>(script, [](auto& rec) {
+    return si::protocol::HtmSgl({.max_threads = 8, .recorder = &rec});
   });
   const auto sim = run_sim<si::sim::SimHtmSgl>(script, [](auto& eng, auto& rec) {
-    return si::sim::SimHtmSgl(eng, /*retries=*/10, &rec);
+    return si::sim::SimHtmSgl(eng, {.recorder = &rec});
   });
   expect_equivalent(real, sim);
   EXPECT_GT(real.stats.sgl_commits, 0u);
@@ -278,11 +271,11 @@ TEST_P(EquivalenceTest, HtmSgl) {
 
 TEST_P(EquivalenceTest, P8tm) {
   const auto script = make_script(GetParam(), /*with_capacity_stress=*/true);
-  const auto real = run_real<si::baselines::P8tm>(script, [](auto& rec) {
-    return si::baselines::P8tm({.max_threads = 8, .recorder = &rec});
+  const auto real = run_real<si::protocol::P8tm>(script, [](auto& rec) {
+    return si::protocol::P8tm({.max_threads = 8, .recorder = &rec});
   });
   const auto sim = run_sim<si::sim::SimP8tm>(script, [](auto& eng, auto& rec) {
-    return si::sim::SimP8tm(eng, /*retries=*/10, &rec);
+    return si::sim::SimP8tm(eng, {.recorder = &rec});
   });
   expect_equivalent(real, sim);
   EXPECT_GT(real.stats.sgl_commits, 0u);
@@ -290,11 +283,11 @@ TEST_P(EquivalenceTest, P8tm) {
 
 TEST_P(EquivalenceTest, Silo) {
   const auto script = make_script(GetParam(), /*with_capacity_stress=*/true);
-  const auto real = run_real<si::baselines::Silo>(script, [](auto& rec) {
-    return si::baselines::Silo({.max_threads = 8, .recorder = &rec});
+  const auto real = run_real<si::protocol::Silo>(script, [](auto& rec) {
+    return si::protocol::Silo({.max_threads = 8, .recorder = &rec});
   });
   const auto sim = run_sim<si::sim::SimSilo>(script, [](auto& eng, auto& rec) {
-    return si::sim::SimSilo(eng, &rec);
+    return si::sim::SimSilo(eng, {.recorder = &rec});
   });
   expect_equivalent(real, sim);
   // Silo buffers writes in software: no capacity aborts, ever.
@@ -307,11 +300,11 @@ TEST_P(EquivalenceTest, RawRot) {
   // No capacity stressor: raw-ROT has no SGL fall-back, so an over-capacity
   // transaction would retry (and capacity-abort) forever by design.
   const auto script = make_script(GetParam(), /*with_capacity_stress=*/false);
-  const auto real = run_real<si::baselines::RawRot>(script, [](auto& rec) {
-    return si::baselines::RawRot({.max_threads = 8, .recorder = &rec});
+  const auto real = run_real<si::protocol::RawRot>(script, [](auto& rec) {
+    return si::protocol::RawRot({.max_threads = 8, .recorder = &rec});
   });
   const auto sim = run_sim<si::sim::SimRawRot>(script, [](auto& eng, auto& rec) {
-    return si::sim::SimRawRot(eng, /*retries=*/10, &rec);
+    return si::sim::SimRawRot(eng, {.recorder = &rec});
   });
   expect_equivalent(real, sim);
   EXPECT_EQ(real.stats.sgl_commits, 0u);
@@ -324,16 +317,16 @@ TEST_P(EquivalenceTest, SlimVsTtasSgl) {
   // must be indistinguishable — same accounting, same final memory, same
   // SI-admissible history — on the real substrate and in the simulator.
   const auto script = make_script(GetParam(), /*with_capacity_stress=*/true);
-  const auto slim = run_real<si::sihtm::SiHtm>(script, [](auto& rec) {
-    return si::sihtm::SiHtm({.max_threads = 8,
-                             .recorder = &rec,
-                             .sgl_impl = si::util::SglImpl::kSlim});
+  const auto slim = run_real<si::protocol::SiHtm>(script, [](auto& rec) {
+    return si::protocol::SiHtm({.max_threads = 8,
+                                .recorder = &rec,
+                                .sgl_impl = si::util::SglImpl::kSlim});
   });
-  const auto ttas = run_real<si::sihtm::SiHtm>(script, [](auto& rec) {
-    return si::sihtm::SiHtm({.max_threads = 8,
-                             .recorder = &rec,
-                             .sgl_impl = si::util::SglImpl::kTtas,
-                             .sgl_shared_ro = false});
+  const auto ttas = run_real<si::protocol::SiHtm>(script, [](auto& rec) {
+    return si::protocol::SiHtm({.max_threads = 8,
+                                .recorder = &rec,
+                                .sgl_impl = si::util::SglImpl::kTtas,
+                                .sgl_shared_ro = false});
   });
   expect_equivalent(slim, ttas);
   EXPECT_GT(slim.stats.sgl_commits, 0u);  // the SGL path actually ran
@@ -342,17 +335,15 @@ TEST_P(EquivalenceTest, SlimVsTtasSgl) {
 
   const auto sim_slim =
       run_sim<si::sim::SimSiHtm>(script, [](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec, {},
-                                 si::util::SglImpl::kSlim,
-                                 /*sgl_shared_ro=*/true);
+        return si::sim::SimSiHtm(eng, {.recorder = &rec,
+                                       .sgl_impl = si::util::SglImpl::kSlim,
+                                       .sgl_shared_ro = true});
       });
   const auto sim_ttas =
       run_sim<si::sim::SimSiHtm>(script, [](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec, {},
-                                 si::util::SglImpl::kTtas,
-                                 /*sgl_shared_ro=*/false);
+        return si::sim::SimSiHtm(eng, {.recorder = &rec,
+                                       .sgl_impl = si::util::SglImpl::kTtas,
+                                       .sgl_shared_ro = false});
       });
   expect_equivalent(sim_slim, sim_ttas);
 }
@@ -413,19 +404,17 @@ TEST(SlimVsTtasSim, SharedOffSchedulesAreIdentical) {
   const auto slim = run_sim_mt(
       /*seed=*/42, /*threads=*/8,
       [](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec, {},
-                                 si::util::SglImpl::kSlim,
-                                 /*sgl_shared_ro=*/false);
+        return si::sim::SimSiHtm(eng, {.recorder = &rec,
+                                       .sgl_impl = si::util::SglImpl::kSlim,
+                                       .sgl_shared_ro = false});
       },
       &slim_tot, &slim_end);
   const auto ttas = run_sim_mt(
       /*seed=*/42, /*threads=*/8,
       [](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec, {},
-                                 si::util::SglImpl::kTtas,
-                                 /*sgl_shared_ro=*/false);
+        return si::sim::SimSiHtm(eng, {.recorder = &rec,
+                                       .sgl_impl = si::util::SglImpl::kTtas,
+                                       .sgl_shared_ro = false});
       },
       &ttas_tot, &ttas_end);
   EXPECT_EQ(slim_end, ttas_end);
@@ -458,10 +447,9 @@ TEST(SlimVsTtasSim, SharedAdmissionKeepsSnapshotIsolation) {
   const auto run = run_sim_mt(
       /*seed=*/7, /*threads=*/8,
       [](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec, {},
-                                 si::util::SglImpl::kSlim,
-                                 /*sgl_shared_ro=*/true);
+        return si::sim::SimSiHtm(eng, {.recorder = &rec,
+                                       .sgl_impl = si::util::SglImpl::kSlim,
+                                       .sgl_shared_ro = true});
       },
       &tot, &shared_end);
   EXPECT_GT(tot.sgl_commits, 0u);  // drains happened
@@ -474,10 +462,9 @@ TEST(SlimVsTtasSim, SharedAdmissionKeepsSnapshotIsolation) {
   run_sim_mt(
       /*seed=*/7, /*threads=*/8,
       [](auto& eng, auto& rec) {
-        return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                 /*straggler_kill_after_ns=*/0, &rec, {},
-                                 si::util::SglImpl::kSlim,
-                                 /*sgl_shared_ro=*/false);
+        return si::sim::SimSiHtm(eng, {.recorder = &rec,
+                                       .sgl_impl = si::util::SglImpl::kSlim,
+                                       .sgl_shared_ro = false});
       },
       nullptr, &excl_end);
   EXPECT_NE(shared_end, excl_end);
@@ -637,61 +624,60 @@ void map_cases(std::uint64_t seed) {
   const auto script = make_map_script(seed);
   {
     SCOPED_TRACE("si-htm");
-    const auto real = run_map_real<Map, si::sihtm::SiHtm>(script, [](auto& rec) {
-      return si::sihtm::SiHtm({.max_threads = 8, .recorder = &rec});
+    const auto real = run_map_real<Map, si::protocol::SiHtm>(script, [](auto& rec) {
+      return si::protocol::SiHtm({.max_threads = 8, .recorder = &rec});
     });
     const auto sim =
         run_map_sim<Map, si::sim::SimSiHtm>(script, [](auto& eng, auto& rec) {
-          return si::sim::SimSiHtm(eng, /*retries=*/10,
-                                   /*straggler_kill_after_ns=*/0, &rec);
+          return si::sim::SimSiHtm(eng, {.recorder = &rec});
         });
     expect_map_equivalent(real, sim);
   }
   {
     SCOPED_TRACE("htm-sgl");
     const auto real =
-        run_map_real<Map, si::baselines::HtmSgl>(script, [](auto& rec) {
-          return si::baselines::HtmSgl({.max_threads = 8, .recorder = &rec});
+        run_map_real<Map, si::protocol::HtmSgl>(script, [](auto& rec) {
+          return si::protocol::HtmSgl({.max_threads = 8, .recorder = &rec});
         });
     const auto sim =
         run_map_sim<Map, si::sim::SimHtmSgl>(script, [](auto& eng, auto& rec) {
-          return si::sim::SimHtmSgl(eng, /*retries=*/10, &rec);
+          return si::sim::SimHtmSgl(eng, {.recorder = &rec});
         });
     expect_map_equivalent(real, sim);
   }
   {
     SCOPED_TRACE("p8tm");
     const auto real =
-        run_map_real<Map, si::baselines::P8tm>(script, [](auto& rec) {
-          return si::baselines::P8tm({.max_threads = 8, .recorder = &rec});
+        run_map_real<Map, si::protocol::P8tm>(script, [](auto& rec) {
+          return si::protocol::P8tm({.max_threads = 8, .recorder = &rec});
         });
     const auto sim =
         run_map_sim<Map, si::sim::SimP8tm>(script, [](auto& eng, auto& rec) {
-          return si::sim::SimP8tm(eng, /*retries=*/10, &rec);
+          return si::sim::SimP8tm(eng, {.recorder = &rec});
         });
     expect_map_equivalent(real, sim);
   }
   {
     SCOPED_TRACE("silo");
     const auto real =
-        run_map_real<Map, si::baselines::Silo>(script, [](auto& rec) {
-          return si::baselines::Silo({.max_threads = 8, .recorder = &rec});
+        run_map_real<Map, si::protocol::Silo>(script, [](auto& rec) {
+          return si::protocol::Silo({.max_threads = 8, .recorder = &rec});
         });
     const auto sim =
         run_map_sim<Map, si::sim::SimSilo>(script, [](auto& eng, auto& rec) {
-          return si::sim::SimSilo(eng, &rec);
+          return si::sim::SimSilo(eng, {.recorder = &rec});
         });
     expect_map_equivalent(real, sim);
   }
   {
     SCOPED_TRACE("raw-rot");
     const auto real =
-        run_map_real<Map, si::baselines::RawRot>(script, [](auto& rec) {
-          return si::baselines::RawRot({.max_threads = 8, .recorder = &rec});
+        run_map_real<Map, si::protocol::RawRot>(script, [](auto& rec) {
+          return si::protocol::RawRot({.max_threads = 8, .recorder = &rec});
         });
     const auto sim =
         run_map_sim<Map, si::sim::SimRawRot>(script, [](auto& eng, auto& rec) {
-          return si::sim::SimRawRot(eng, /*retries=*/10, &rec);
+          return si::sim::SimRawRot(eng, {.recorder = &rec});
         });
     expect_map_equivalent(real, sim);
   }

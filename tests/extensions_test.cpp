@@ -6,7 +6,7 @@
 #include <thread>
 #include <vector>
 
-#include "sihtm/sihtm.hpp"
+#include "protocol/tm.hpp"
 #include "sim/backends.hpp"
 #include "sim/engine.hpp"
 #include "util/backoff.hpp"
@@ -153,10 +153,10 @@ TEST(LvdirTest, OnlyTwoThreadsPerPairGetSlots) {
 // --- straggler killing -----------------------------------------------------
 
 TEST(StragglerKillTest, RealRuntimeKillsLaggard) {
-  si::sihtm::SiHtmConfig cfg;
+  si::protocol::RealSubstrateConfig cfg;
   cfg.max_threads = 4;
   cfg.straggler_kill_spins = 200;
-  si::sihtm::SiHtm cc(cfg);
+  si::protocol::SiHtm cc(cfg);
   Cell x, y;
   std::atomic<bool> straggler_in{false};
   std::atomic<bool> committer_done{false};
@@ -170,7 +170,7 @@ TEST(StragglerKillTest, RealRuntimeKillsLaggard) {
       // (retry attempts).
       si::util::Backoff b;
       while (!committer_done.load(std::memory_order_acquire)) {
-        cc.htm().check_killed();
+        cc.substrate().htm().check_killed();
         b.pause();
       }
     });
@@ -192,10 +192,10 @@ TEST(StragglerKillTest, RealRuntimeKillsLaggard) {
 }
 
 TEST(StragglerKillTest, DisabledPolicyNeverKills) {
-  si::sihtm::SiHtmConfig cfg;
+  si::protocol::RealSubstrateConfig cfg;
   cfg.max_threads = 4;
   cfg.straggler_kill_spins = 0;  // default: the paper's configuration
-  si::sihtm::SiHtm cc(cfg);
+  si::protocol::SiHtm cc(cfg);
   Cell x, y;
   std::atomic<bool> straggler_in{false}, release{false};
 
@@ -206,7 +206,7 @@ TEST(StragglerKillTest, DisabledPolicyNeverKills) {
       straggler_in.store(true, std::memory_order_release);
       si::util::Backoff b;
       while (!release.load(std::memory_order_acquire)) {
-        cc.htm().check_killed();
+        cc.substrate().htm().check_killed();
         b.pause();
       }
     });
@@ -234,7 +234,7 @@ TEST(StragglerKillTest, SimPolicyRaisesStragglerAborts) {
   auto run_with = [](double kill_after_ns) {
     si::sim::SimMachineConfig mcfg;
     si::sim::SimEngine eng(mcfg, 4);
-    si::sim::SimSiHtm cc(eng, 10, kill_after_ns);
+    si::sim::SimSiHtm cc(eng, {.straggler_kill_after_ns = kill_after_ns});
     std::vector<Cell> cells(4);
     std::vector<si::util::Xoshiro256> rngs;
     for (int t = 0; t < 4; ++t) rngs.emplace_back(5 + t);

@@ -15,7 +15,7 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "runtime/driver.hpp"
-#include "sihtm/sihtm.hpp"
+#include "protocol/tm.hpp"
 #include "sim/backends.hpp"
 #include "sim/engine.hpp"
 
@@ -245,7 +245,7 @@ SimTraceRun run_sim_hashmap(bool with_obs, int threads = 4,
   const si::obs::ObsConfig obs =
       with_obs ? si::obs::ObsConfig{&tracer, &metrics} : si::obs::ObsConfig{};
   si::sim::SimEngine eng(si::sim::SimMachineConfig{}, threads);
-  si::sim::SimSiHtm cc(eng, 10, 0, nullptr, obs);
+  si::sim::SimSiHtm cc(eng, {.obs = obs});
   si::hashmap::WorkloadConfig wcfg;
   wcfg.buckets = 50;
   wcfg.avg_chain = 20;
@@ -376,8 +376,8 @@ TEST(ObsTaxonomyTest, RealAndSimEmitTheSameLifecycleKinds) {
   {
     Tracer tracer(kThreads);
     si::obs::Metrics metrics(kThreads);
-    si::sihtm::SiHtm cc({.max_threads = kThreads,
-                         .obs = si::obs::ObsConfig{&tracer, &metrics}});
+    si::protocol::SiHtm cc({.max_threads = kThreads,
+                            .obs = si::obs::ObsConfig{&tracer, &metrics}});
     si::hashmap::WorkloadConfig wcfg;
     wcfg.buckets = 50;
     wcfg.avg_chain = 20;

@@ -6,7 +6,7 @@
 #include <thread>
 
 #include "p8htm/htm.hpp"
-#include "sihtm/sihtm.hpp"
+#include "protocol/tm.hpp"
 #include "sihtm/state_table.hpp"
 #include "util/backoff.hpp"
 
@@ -35,9 +35,9 @@ void await(const std::atomic<bool>& flag) {
 // figure's: snapshots never see t0's uncommitted write, and the write-write
 // conflict aborts exactly one of {t0, t3}.
 TEST(Fig1_SiSemantics, SnapshotsIsolatedAndWriteWriteAborts) {
-  si::sihtm::SiHtmConfig cfg;
+  si::protocol::RealSubstrateConfig cfg;
   cfg.max_threads = 8;
-  si::sihtm::SiHtm cc(cfg);
+  si::protocol::SiHtm cc(cfg);
   Cell x, y;
   y.v = 10;
 
@@ -47,7 +47,7 @@ TEST(Fig1_SiSemantics, SnapshotsIsolatedAndWriteWriteAborts) {
   const auto await_readers = [&] {
     si::util::Backoff b;
     while (readers_done.load(std::memory_order_acquire) < 2) {
-      cc.htm().check_killed();
+      cc.substrate().htm().check_killed();
       b.pause();
     }
   };
@@ -100,7 +100,7 @@ TEST(Fig1_SiSemantics, SnapshotsIsolatedAndWriteWriteAborts) {
       w0_in.store(true, std::memory_order_release);
       si::util::Backoff b;
       while (!w3_done.load(std::memory_order_acquire)) {
-        cc.htm().check_killed();
+        cc.substrate().htm().check_killed();
         b.pause();
       }
     });
@@ -234,9 +234,9 @@ TEST(Fig3_RawRotAnomaly, UnrepeatableReadHappensWithoutSafetyWait) {
 // writer: the reader's access during the writer's wait invalidates its write
 // entry, and the reader sees the original value both times.
 TEST(Fig4A_SafetyWait, ReaderKillsWaitingWriter) {
-  si::sihtm::SiHtmConfig cfg;
+  si::protocol::RealSubstrateConfig cfg;
   cfg.max_threads = 4;
-  si::sihtm::SiHtm cc(cfg);
+  si::protocol::SiHtm cc(cfg);
   Cell x;
   std::uint64_t first = ~0ull, second = ~0ull;
   std::atomic<bool> reader_started{false};
@@ -247,7 +247,7 @@ TEST(Fig4A_SafetyWait, ReaderKillsWaitingWriter) {
       first = tx.read(&x.v);
       reader_started.store(true, std::memory_order_release);
       si::util::Backoff b;
-      while (cc.state_of(1) != si::sihtm::kCompleted) b.pause();
+      while (cc.substrate().state(1) != si::sihtm::kCompleted) b.pause();
       second = tx.read(&x.v);  // invalidates r1's write entry: r1 aborts
     });
   });
@@ -269,9 +269,9 @@ TEST(Fig4A_SafetyWait, ReaderKillsWaitingWriter) {
 // Figure 4B: the writer safety-waits, the concurrent transaction reads a
 // *different* location; once it completes, the writer commits — no aborts.
 TEST(Fig4B_SafetyWait, WriterCommitsAfterCleanWait) {
-  si::sihtm::SiHtmConfig cfg;
+  si::protocol::RealSubstrateConfig cfg;
   cfg.max_threads = 4;
-  si::sihtm::SiHtm cc(cfg);
+  si::protocol::SiHtm cc(cfg);
   Cell x, y;
   y.v = 3;
   std::atomic<bool> reader_started{false};
@@ -282,7 +282,7 @@ TEST(Fig4B_SafetyWait, WriterCommitsAfterCleanWait) {
     cc.execute(false, [&](auto& tx) {
       reader_started.store(true, std::memory_order_release);
       si::util::Backoff b;
-      while (cc.state_of(1) != si::sihtm::kCompleted) b.pause();
+      while (cc.substrate().state(1) != si::sihtm::kCompleted) b.pause();
       r0_saw_y = tx.read(&y.v);  // disjoint from r1's write set
     });
   });

@@ -8,13 +8,15 @@
 #include <thread>
 #include <vector>
 
-#include "sihtm/sihtm.hpp"
+#include "protocol/tm.hpp"
+#include "sihtm/state_table.hpp"
 #include "util/backoff.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace si::sihtm;
+using si::protocol::SiHtm;
 using si::p8::TxAbort;
 using si::util::AbortCause;
 using si::util::kLineSize;
@@ -23,10 +25,9 @@ struct alignas(kLineSize) Cell {
   std::uint64_t v = 0;
 };
 
-SiHtmConfig small_cfg(int retries = 10) {
-  SiHtmConfig cfg;
+si::protocol::RealSubstrateConfig small_cfg() {
+  si::protocol::RealSubstrateConfig cfg;
   cfg.max_threads = 16;
-  cfg.retries = retries;
   return cfg;
 }
 
@@ -49,7 +50,7 @@ TEST(SiHtmPaths, ReadOnlyFastPath) {
   const auto& st = cc.thread_stats()[0];
   EXPECT_EQ(st.commits, 1u);
   EXPECT_EQ(st.ro_commits, 1u);  // unlimited read footprint, no hardware tx
-  EXPECT_EQ(cc.state_of(0), kInactive);
+  EXPECT_EQ(cc.substrate().state(0), kInactive);
 }
 
 TEST(SiHtmPaths, UpdatePathCommitsViaRot) {
@@ -57,7 +58,7 @@ TEST(SiHtmPaths, UpdatePathCommitsViaRot) {
   cc.register_thread(0);
   Cell x;
   cc.execute(false, [&](auto& tx) {
-    EXPECT_EQ(tx.path(), si::sihtm::SiHtmTx::Path::kRot);
+    EXPECT_EQ(tx.path(), SiHtm::Tx::Path::kRot);
     tx.write(&x.v, std::uint64_t{11});
   });
   EXPECT_EQ(x.v, 11u);
@@ -87,7 +88,7 @@ TEST(SiHtmPaths, LargeReadSetUpdateTxCommits) {
 }
 
 TEST(SiHtmPaths, OversizedWriteSetFallsBackToSgl) {
-  SiHtm cc(small_cfg(3));
+  SiHtm cc(small_cfg(), {.retries = 3});
   cc.register_thread(0);
   std::vector<Cell> cells(100);  // 100 written lines > 64 TMCAM entries
   cc.execute(false, [&](auto& tx) {
@@ -161,14 +162,14 @@ TEST(SiHtmSemantics, NoUnrepeatableReadAcrossConcurrentCommit) {
       // Wait until the writer has completed (state == completed) and is
       // parked in its safety wait on us.
       si::util::Backoff b;
-      while (cc.state_of(1) != kCompleted) b.pause();
+      while (cc.substrate().state(1) != kCompleted) b.pause();
       second = tx.read(&x.v);
     });
   });
   std::thread writer([&] {
     cc.register_thread(1);
     si::util::Backoff b;
-    while (cc.state_of(0) <= kCompleted) b.pause();  // reader active?
+    while (cc.substrate().state(0) <= kCompleted) b.pause();  // reader active?
     cc.execute(false, [&](auto& tx) { tx.write(&x.v, std::uint64_t{1}); });
   });
   reader.join();
@@ -221,7 +222,7 @@ TEST(SiHtmSemantics, ReadOnlySnapshotIsConsistentUnderUpdates) {
 }
 
 TEST(SiHtmSgl, HolderDrainsAndBlocksNewTransactions) {
-  SiHtm cc(small_cfg(1));
+  SiHtm cc(small_cfg(), {.retries = 1});
   std::vector<Cell> big(100);
   Cell marker;
   std::atomic<bool> in_sgl{false}, observed{false};
@@ -231,7 +232,7 @@ TEST(SiHtmSgl, HolderDrainsAndBlocksNewTransactions) {
     cc.register_thread(0);
     cc.execute(false, [&](auto& tx) {
       for (auto& c : big) tx.write(&c.v, std::uint64_t{1});  // forces SGL
-      if (tx.path() == si::sihtm::SiHtmTx::Path::kSgl) {
+      if (tx.path() == SiHtm::Tx::Path::kSgl) {
         in_sgl.store(true, std::memory_order_release);
         await(observed);
         tx.write(&marker.v, std::uint64_t{42});

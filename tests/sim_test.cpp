@@ -255,7 +255,7 @@ TEST(SimSiHtmTest, LargeReadOnlyAndUpdateCommit) {
 
 TEST(SimSiHtmTest, OversizedWriteSetTakesSgl) {
   SimEngine eng(machine(), 1);
-  SimSiHtm cc(eng, /*retries=*/2);
+  SimSiHtm cc(eng, {}, {.retries = 2});
   std::vector<Cell> cells(100);
   eng.run(1e9, [&](int) {
     cc.execute(false, [&](auto& tx) {
@@ -273,7 +273,7 @@ TEST(SimSiHtmTest, OversizedWriteSetTakesSgl) {
 
 TEST(SimHtmSglTest, LargeReadSetFallsBackWithCapacityAborts) {
   SimEngine eng(machine(), 1);
-  SimHtmSgl cc(eng, /*retries=*/3);
+  SimHtmSgl cc(eng, {}, {.retries = 3});
   std::vector<Cell> cells(200);
   eng.run(1e9, [&](int) {
     cc.execute(false, [&](auto& tx) {

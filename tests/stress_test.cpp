@@ -13,7 +13,7 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "p8htm/htm.hpp"
-#include "sihtm/sihtm.hpp"
+#include "protocol/tm.hpp"
 #include "util/backoff.hpp"
 #include "util/rng.hpp"
 
@@ -229,10 +229,9 @@ TEST(StressFastPath, OwnedLineHammerUntornWithIdenticalCommits) {
 }
 
 TEST(StressMixed, SiHtmSurvivesAdversarialMixAndStaysConsistent) {
-  si::sihtm::SiHtmConfig cfg;
+  si::protocol::RealSubstrateConfig cfg;
   cfg.max_threads = 6;
-  cfg.retries = 3;
-  si::sihtm::SiHtm cc(cfg);
+  si::protocol::SiHtm cc(cfg, {.retries = 3});
   constexpr int kCells = 6;
   constexpr std::uint64_t kInitial = 500;
   std::vector<Cell> cells(kCells);
@@ -335,11 +334,10 @@ TEST(StressObs, TracedAdversarialMixStaysBalanced) {
   constexpr int kThreads = 4;
   si::obs::Tracer tracer(kThreads);
   si::obs::Metrics metrics(kThreads);
-  si::sihtm::SiHtmConfig cfg;
+  si::protocol::RealSubstrateConfig cfg;
   cfg.max_threads = kThreads;
-  cfg.retries = 3;
   cfg.obs = si::obs::ObsConfig{&tracer, &metrics};
-  si::sihtm::SiHtm cc(cfg);
+  si::protocol::SiHtm cc(cfg, {.retries = 3});
   std::vector<Cell> cells(8);
 
   std::vector<std::thread> threads;

@@ -493,7 +493,7 @@ SimObsRun run_sim(bool with_tracer, bool with_metrics, int threads = 4,
   if (with_tracer) obs.tracer = &tracer;
   if (with_metrics) obs.metrics = &metrics;
   si::sim::SimEngine eng(si::sim::SimMachineConfig{}, threads);
-  si::sim::SimSiHtm cc(eng, 10, 0, nullptr, obs);
+  si::sim::SimSiHtm cc(eng, {.obs = obs});
   si::hashmap::WorkloadConfig wcfg;
   wcfg.buckets = 8;  // small table: plenty of conflicts and SGL traffic
   wcfg.avg_chain = 16;

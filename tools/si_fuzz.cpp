@@ -17,6 +17,7 @@
 #include "check/fuzzer.hpp"
 #include "check/history.hpp"
 #include "check/verify.hpp"
+#include "runtime/backend.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -42,8 +43,7 @@ int main(int argc, char** argv) {
 
   si::check::FuzzConfig cfg;
   try {
-    cfg.backend =
-        si::check::fuzz_backend_from_string(cli.get("backend", "si-htm"));
+    cfg.backend = si::runtime::backend_from_string(cli.get("backend", "si-htm"));
     cfg.structure =
         si::check::fuzz_struct_from_string(cli.get("struct", "ledger"));
   } catch (const std::exception& e) {
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::printf("# backend=%s struct=%s seed=%llu events=%zu invariants=%s\n",
-                std::string(to_string(cfg.backend)).c_str(),
+                std::string(si::runtime::cli_name(cfg.backend)).c_str(),
                 std::string(to_string(cfg.structure)).c_str(),
                 static_cast<unsigned long long>(seed), r.history.size(),
                 r.invariants_ok ? "ok" : "VIOLATED");
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("backend=%s struct=%s schedules=%d failures=%d\n",
-              std::string(to_string(cfg.backend)).c_str(),
+              std::string(si::runtime::cli_name(cfg.backend)).c_str(),
               std::string(to_string(cfg.structure)).c_str(), s.schedules,
               s.failures);
   if (!s.ok()) {
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.first_failure.seed),
                 describe(s.first_failure.verify).c_str());
     std::printf("replay with: %s --backend=%s --struct=%s --replay=%llu\n",
-                argv[0], std::string(to_string(cfg.backend)).c_str(),
+                argv[0], std::string(si::runtime::cli_name(cfg.backend)).c_str(),
                 std::string(to_string(cfg.structure)).c_str(),
                 static_cast<unsigned long long>(s.first_failure.seed));
   }

@@ -80,35 +80,12 @@ std::uint64_t run_traced(const Options& opt, const si::obs::ObsConfig& obs,
   si::sim::SimMachineConfig mcfg;  // the paper's machine: 10 cores, SMT-8
   si::sim::SimEngine eng(mcfg, opt.threads);
   auto workload = make_workload(opt.threads);
-  auto drive = [&](auto& cc) {
-    return eng
-        .run(opt.virtual_ns, [&](int tid) { workload->step(cc, tid); })
-        .totals.commits;
-  };
-  using si::runtime::Backend;
-  switch (opt.backend) {
-    case Backend::kHtm: {
-      si::sim::SimHtmSgl cc(eng, 10, nullptr, obs);
-      return drive(cc);
-    }
-    case Backend::kSiHtm: {
-      si::sim::SimSiHtm cc(eng, 10, 0, nullptr, obs);
-      return drive(cc);
-    }
-    case Backend::kP8tm: {
-      si::sim::SimP8tm cc(eng, 10, nullptr, obs);
-      return drive(cc);
-    }
-    case Backend::kSilo: {
-      si::sim::SimSilo cc(eng, nullptr, obs);
-      return drive(cc);
-    }
-    case Backend::kRawRot: {
-      si::sim::SimRawRot cc(eng, 10, nullptr, obs);
-      return drive(cc);
-    }
-  }
-  return 0;
+  return si::sim::with_sim_backend(
+      opt.backend, eng, {.obs = obs}, 10, [&](auto& cc) {
+        return eng
+            .run(opt.virtual_ns, [&](int tid) { workload->step(cc, tid); })
+            .totals.commits;
+      });
 }
 
 void print_metrics(const si::obs::MetricsSnapshot& m) {
