@@ -10,6 +10,7 @@ are non-decreasing per thread.
     check_trace.py trace.json --schema scripts/trace_schema.json \
         --require-kinds begin,commit,safety-wait-enter \
         --require-wait-spans
+    si_trace -out - | check_trace.py - --schema scripts/trace_schema.json
 
 --require-kinds asserts the listed lifecycle kinds occur at least once,
 using the mapping begin/commit/abort -> tx span open/close outcomes,
@@ -184,7 +185,7 @@ def validate(doc, schema, require_kinds, require_wait_spans):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("trace", type=Path)
+    ap.add_argument("trace", type=Path, help="trace file, or - for stdin")
     ap.add_argument("--schema", type=Path,
                     default=Path(__file__).with_name("trace_schema.json"))
     ap.add_argument("--require-kinds", default="",
@@ -195,7 +196,9 @@ def main():
     args = ap.parse_args()
 
     try:
-        doc = json.loads(args.trace.read_text())
+        text = (sys.stdin.read() if str(args.trace) == "-"
+                else args.trace.read_text())
+        doc = json.loads(text)
     except (OSError, json.JSONDecodeError) as e:
         print(f"{args.trace}: {e}", file=sys.stderr)
         return 1

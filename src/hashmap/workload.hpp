@@ -40,7 +40,10 @@ class Workload {
     key_space_ = elements * cfg.key_space_factor;
     si::util::Xoshiro256 rng(cfg.seed);
     for (std::uint64_t i = 0; i < elements; ++i) {
-      map_.seed(rng.below(key_space_), rng(), seed_pool_);
+      // Value first, then key, not left to argument evaluation order.
+      const std::uint64_t value = rng();
+      const std::uint64_t key = rng.below(key_space_);
+      map_.seed(key, value, seed_pool_);
     }
     for (int t = 0; t < max_threads; ++t) {
       threads_[static_cast<std::size_t>(t)].rng =

@@ -21,6 +21,7 @@
 //     rejects the snapshot, but the traversal itself must not hang first).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -233,19 +234,88 @@ std::size_t map_count(Map& map) {
   return n;
 }
 
-/// Deterministically pre-populates `map` with `n` draws over
-/// [1, key_space] (value = key * 3). Returns the number of distinct keys
-/// actually inserted (collisions update in place).
+namespace detail {
+
+struct SeedDraw {
+  std::uint64_t key;
+  std::size_t index;
+};
+
+/// Stable LSD radix sort by key, 8-bit digits over keys <= max_key. Stable,
+/// so draws of one key stay in draw order and the first is its first draw.
+inline void sort_draws_by_key(std::vector<SeedDraw>& draws,
+                              std::uint64_t max_key) {
+  std::vector<SeedDraw> out(draws.size());
+  for (std::uint64_t shift = 0; shift < std::bit_width(max_key); shift += 8) {
+    std::size_t start[256] = {};
+    for (const SeedDraw& d : draws) ++start[(d.key >> shift) & 0xFF];
+    std::size_t sum = 0;
+    for (std::size_t& s : start) {
+      const std::size_t count = s;
+      s = sum;
+      sum += count;
+    }
+    for (const SeedDraw& d : draws) out[start[(d.key >> shift) & 0xFF]++] = d;
+    draws.swap(out);
+  }
+}
+
+}  // namespace detail
+
+/// Deterministically pre-populates an empty `map` with `n` draws over
+/// [1, key_space] (value = key * 3). Returns the number of distinct keys.
+///
+/// The result is the map that `map_put` of every draw in draw order builds,
+/// node for node, but repeats are dropped up front: one sort of the draws
+/// finds each key's first occurrence, and a repeat would only rewrite the
+/// same value in place. Nodes come from `scratch` in first-occurrence order,
+/// the order those puts would take them. A structure whose shape depends on
+/// its key set alone (SkipList: towers are height_of(key)) is then linked in
+/// one ascending pass; Bst and Btree shapes depend on insertion order, so
+/// they still put each distinct key in draw order.
 template <typename Map>
 std::size_t map_seed(Map& map, std::size_t n, std::uint64_t key_space,
                      std::uint64_t seed, typename Map::ScratchT& scratch) {
-  DirectCC cc;
-  std::size_t inserted = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t key = 1 + mix64(seed + i) % key_space;
-    if (map_put(map, cc, key, key * 3, scratch)) ++inserted;
+  auto key_of = [&](std::size_t i) { return 1 + mix64(seed + i) % key_space; };
+
+  // rank_of_draw[i]: the key-order rank of draw i's key if draw i is that
+  // key's first draw, kRepeat otherwise.
+  constexpr std::size_t kRepeat = ~std::size_t{0};
+  std::vector<std::size_t> rank_of_draw(n, kRepeat);
+  std::size_t distinct = 0;
+  {  // scoped: the draws are freed before the pool's arena grows
+    std::vector<detail::SeedDraw> draws(n);
+    for (std::size_t i = 0; i < n; ++i)
+      draws[i] = detail::SeedDraw{key_of(i), i};
+    detail::sort_draws_by_key(draws, key_space);
+    for (std::size_t j = 0; j < n; ++j)
+      if (j == 0 || draws[j].key != draws[j - 1].key)
+        rank_of_draw[draws[j].index] = distinct++;
   }
-  return inserted;
+
+  if constexpr (requires { map.link_sorted(nullptr, std::size_t{0}); }) {
+    std::vector<typename Map::Node*> sorted(distinct);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rank_of_draw[i] == kRepeat) continue;
+      scratch.reset();
+      typename Map::Node* node = scratch.take();
+      scratch.settle();
+      node->key = key_of(i);
+      node->value = node->key * 3;
+      sorted[rank_of_draw[i]] = node;
+    }
+    map.link_sorted(sorted.data(), distinct);
+    return distinct;
+  } else {
+    DirectCC cc;
+    std::size_t inserted = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rank_of_draw[i] == kRepeat) continue;
+      const std::uint64_t key = key_of(i);
+      if (map_put(map, cc, key, key * 3, scratch)) ++inserted;
+    }
+    return inserted;
+  }
 }
 
 }  // namespace si::maps

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
@@ -119,6 +120,30 @@ class SkipList {
       if (k >= lo && !emit(k, tx.read(&cur->value))) break;
       cur = tx.read(&cur->next[0]);
     }
+  }
+
+  // -- bulk build (quiesced callers only) -----------------------------------
+
+  /// Links `count` unpublished nodes, strictly ascending by key and with key
+  /// and value set, into this empty list in one pass; sets each height and
+  /// writes each tower slot once. The result equals inserting the nodes one
+  /// by one in any order, because a tower's height is height_of(key).
+  void link_sorted(Node* const* nodes, std::size_t count) {
+    assert(head_.next[0] == nullptr && "link_sorted needs an empty list");
+    Node* last[kMaxLevel];
+    for (Node*& l : last) l = &head_;
+    for (std::size_t i = 0; i < count; ++i) {
+      Node* n = nodes[i];
+      assert(i == 0 || nodes[i - 1]->key < n->key);
+      const int h = height_of(n->key);
+      n->height = static_cast<std::int32_t>(h);
+      for (int l = 0; l < h; ++l) {
+        last[l]->next[l] = n;
+        last[l] = n;
+      }
+      for (int l = h; l < kMaxLevel; ++l) n->next[l] = nullptr;
+    }
+    for (int l = 0; l < kMaxLevel; ++l) last[l]->next[l] = nullptr;
   }
 
   // -- fine-grained baseline: Pugh-style hand-over-hand locking -------------

@@ -41,7 +41,11 @@ class KvApp {
       : cfg_(cfg), map_(cfg.buckets), shards_(static_cast<std::size_t>(shards)) {
     si::util::Xoshiro256 rng(cfg.seed);
     for (std::uint64_t i = 0; i < cfg.seed_elements; ++i) {
-      map_.seed(rng.below(cfg.key_space), rng(), seed_pool_);
+      // Value first, then key: this order defines the preload (perfbench's
+      // oracle models it), so it is not left to argument evaluation order.
+      const std::uint64_t value = rng();
+      const std::uint64_t key = rng.below(cfg.key_space);
+      map_.seed(key, value, seed_pool_);
     }
   }
 

@@ -16,8 +16,10 @@ Cli::Cli(int argc, char** argv) {
         values_.emplace(std::string(name.substr(0, eq)), std::string(name.substr(eq + 1)));
       } else if (long_form) {
         values_.emplace(std::string(name), "1");  // --flag: boolean switch
-      } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-        values_.emplace(std::string(name), std::string(argv[++i]));  // -f value
+      } else if (i + 1 < argc && (argv[i + 1][0] != '-' ||
+                                  std::string_view(argv[i + 1]) == "-")) {
+        // -f value; a lone "-" is a value too (stdin/stdout by convention).
+        values_.emplace(std::string(name), std::string(argv[++i]));
       } else {
         values_.emplace(std::string(name), "1");
       }

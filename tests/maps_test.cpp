@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "maps/bst.hpp"
@@ -136,6 +138,36 @@ void run_script_against_oracle(Map& map, CC& cc,
   EXPECT_TRUE(map.structure_ok());
 }
 
+/// Seed shapes the sorted build must reproduce: several seeds, no draws,
+/// heavy duplication (key_space < n) and a one-key space.
+struct SeedCase {
+  std::size_t n;
+  std::uint64_t key_space;
+  std::uint64_t seed;
+};
+constexpr SeedCase kSeedCases[] = {{3000, 6000, 1},  {3000, 6000, 7},
+                                   {3000, 6000, 42}, {20000, 40000, 1234},
+                                   {0, 100, 5},      {2000, 150, 9},
+                                   {50, 1, 11}};
+
+std::string describe(const SeedCase& c) {
+  return "n=" + std::to_string(c.n) + " key_space=" +
+         std::to_string(c.key_space) + " seed=" + std::to_string(c.seed);
+}
+
+/// The reference for map_seed: map_put of every draw, in draw order.
+template <typename Map>
+std::size_t seed_by_puts(Map& map, const SeedCase& c,
+                         typename Map::ScratchT& scratch) {
+  DirectCC cc;
+  std::size_t linked = 0;
+  for (std::size_t i = 0; i < c.n; ++i) {
+    const std::uint64_t key = 1 + si::maps::mix64(c.seed + i) % c.key_space;
+    if (map_put(map, cc, key, key * 3, scratch)) ++linked;
+  }
+  return linked;
+}
+
 template <typename MapT>
 class MapsTypedTest : public ::testing::Test {};
 
@@ -215,6 +247,77 @@ TYPED_TEST(MapsTypedTest, RunsOnEveryRuntimeBackend) {
     typename TypeParam::ScratchT scratch(pool);
     run_script_against_oracle(map, rt, scratch,
                               make_ops(0xACE0 + static_cast<int>(b), 1200, 96));
+  }
+}
+
+TYPED_TEST(MapsTypedTest, SeedMatchesInsertOrderBuild) {
+  for (const SeedCase& c : kSeedCases) {
+    SCOPED_TRACE(describe(c));
+    TypeParam got, want;
+    typename TypeParam::Pool got_pool, want_pool;
+    typename TypeParam::ScratchT got_scratch(got_pool), want_scratch(want_pool);
+    EXPECT_EQ(si::maps::map_seed(got, c.n, c.key_space, c.seed, got_scratch),
+              seed_by_puts(want, c, want_scratch));
+    EXPECT_EQ(got_pool.allocated(), want_pool.allocated());
+    EXPECT_EQ(si::maps::map_count(got), si::maps::map_count(want));
+    const auto got_dump = si::maps::map_dump(got);
+    const auto want_dump = si::maps::map_dump(want);
+    ASSERT_EQ(got_dump.size(), want_dump.size());
+    for (std::size_t i = 0; i < got_dump.size(); ++i) {
+      ASSERT_EQ(got_dump[i].key, want_dump[i].key) << "entry " << i;
+      ASSERT_EQ(got_dump[i].value, want_dump[i].value) << "entry " << i;
+    }
+    EXPECT_TRUE(got.structure_ok());
+  }
+}
+
+/// First difference between two skiplists compared node for node by arena
+/// index (key, value, height and every tower target, head tower first), or
+/// "" when they are identical.
+std::string skiplist_diff(SkipList& a, const SkipList::Pool& a_pool,
+                          SkipList& b, const SkipList::Pool& b_pool) {
+  using Node = SkipList::Node;
+  if (a_pool.arena().size() != b_pool.arena().size()) return "arena size";
+  auto index_of = [](const SkipList::Pool& pool) {
+    std::unordered_map<const Node*, std::ptrdiff_t> idx{{nullptr, -1}};
+    for (std::size_t i = 0; i < pool.arena().size(); ++i)
+      idx.emplace(&pool.arena()[i], static_cast<std::ptrdiff_t>(i));
+    return idx;
+  };
+  const auto a_idx = index_of(a_pool);
+  const auto b_idx = index_of(b_pool);
+  auto tower_diff = [&](const Node& x, const Node& y) -> std::string {
+    for (int l = 0; l < SkipList::kMaxLevel; ++l) {
+      const auto xi = a_idx.find(x.next[l]);
+      const auto yi = b_idx.find(y.next[l]);
+      if (xi == a_idx.end() || yi == b_idx.end() || xi->second != yi->second)
+        return "next[" + std::to_string(l) + "]";
+    }
+    return "";
+  };
+  if (auto d = tower_diff(*a.head(), *b.head()); !d.empty()) return "head " + d;
+  for (std::size_t i = 0; i < a_pool.arena().size(); ++i) {
+    const Node& x = a_pool.arena()[i];
+    const Node& y = b_pool.arena()[i];
+    std::string d = x.key != y.key         ? "key"
+                    : x.value != y.value   ? "value"
+                    : x.height != y.height ? "height"
+                                           : tower_diff(x, y);
+    if (!d.empty()) return "node " + std::to_string(i) + " " + d;
+  }
+  return "";
+}
+
+TEST(SkipListTest, SortedSeedIsInsertOrderBuildNodeForNode) {
+  for (const SeedCase& c : kSeedCases) {
+    SCOPED_TRACE(describe(c));
+    SkipList got, want;
+    SkipList::Pool got_pool, want_pool;
+    SkipList::ScratchT got_scratch(got_pool), want_scratch(want_pool);
+    si::maps::map_seed(got, c.n, c.key_space, c.seed, got_scratch);
+    seed_by_puts(want, c, want_scratch);
+    EXPECT_EQ(skiplist_diff(got, got_pool, want, want_pool), "");
+    EXPECT_TRUE(got.structure_ok());
   }
 }
 

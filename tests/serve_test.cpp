@@ -46,6 +46,39 @@ void count_completion(void* ctx, const Response&) {
       1, std::memory_order_relaxed);
 }
 
+TEST(KvAppPreload, MatchesSequentialDrawModel) {
+  // The preload draws the value first, then the key, and prepends; so every
+  // key's lookup sees its last draw and nothing else is present.
+  KvAppConfig cfg;
+  cfg.buckets = 64;
+  cfg.seed_elements = 3000;
+  cfg.key_space = 1000;
+  cfg.seed = 7;
+  KvApp app(cfg, 1);
+
+  si::util::Xoshiro256 rng(cfg.seed);
+  std::vector<std::uint64_t> last(cfg.key_space, 0);
+  std::vector<bool> present(cfg.key_space, false);
+  std::uint64_t sum = 0;
+  for (std::uint64_t i = 0; i < cfg.seed_elements; ++i) {
+    const std::uint64_t value = rng();
+    const std::uint64_t key = rng.below(cfg.key_space);
+    last[key] = value;
+    present[key] = true;
+    sum += value;
+  }
+  EXPECT_EQ(app.map().count(), cfg.seed_elements);
+  EXPECT_EQ(app.map().value_sum(), sum);
+  si::maps::DirectTx tx;
+  for (std::uint64_t key = 0; key < cfg.key_space; ++key) {
+    std::uint64_t got = 0;
+    ASSERT_EQ(app.map().lookup(tx, key, &got), present[key]) << "key " << key;
+    if (present[key]) {
+      ASSERT_EQ(got, last[key]) << "key " << key;
+    }
+  }
+}
+
 TEST(ServeQueue, FifoSingleThreaded) {
   RequestQueue q(16);
   for (std::uint64_t i = 0; i < 10; ++i) {

@@ -222,6 +222,18 @@ TEST(CliTest, DefaultsWhenAbsent) {
   EXPECT_EQ(cli.get("mix", "std"), "std");
 }
 
+TEST(CliTest, LoneDashIsAValue) {
+  // "-out -" names stdout; a lone dash must not be read as another flag,
+  // while a flag followed by a real flag stays a boolean switch.
+  const char* argv[] = {"prog", "-out", "-", "-summary", "-in", "-", "pos"};
+  Cli cli(7, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get("out"), "-");
+  EXPECT_EQ(cli.get("summary"), "1");
+  EXPECT_EQ(cli.get("in"), "-");
+  ASSERT_EQ(cli.positional().size(), 1u);
+  EXPECT_EQ(cli.positional()[0], "pos");
+}
+
 TEST(CliTest, ParseIntList) {
   EXPECT_EQ(parse_int_list("1,2,4,8", {}), (std::vector<int>{1, 2, 4, 8}));
   EXPECT_EQ(parse_int_list("", {3}), (std::vector<int>{3}));

@@ -9,6 +9,10 @@
 //   si_trace -backend sihtm -workload tpcc -summary
 //   si_trace -backend p8tm -threads 16 -ms 2 -out p8.json
 //   si_trace -backend si-htm -real -ops 20000             # real threads
+//   si_trace -out - | scripts/check_trace.py -            # trace on stdout
+//
+// With `-out -` the trace is the only thing on stdout; the status line, the
+// metrics and the -summary go to stderr.
 //
 // The default substrate is the simulator: same seed, same machine, same
 // trace, byte for byte — which is what CI's trace-smoke step relies on. The
@@ -88,28 +92,29 @@ std::uint64_t run_traced(const Options& opt, const si::obs::ObsConfig& obs,
       });
 }
 
-void print_metrics(const si::obs::MetricsSnapshot& m) {
-  auto line = [](const char* name, const si::util::Histogram& h) {
+void print_metrics(std::FILE* f, const si::obs::MetricsSnapshot& m) {
+  auto line = [f](const char* name, const si::util::Histogram& h) {
     if (h.count() == 0) {
-      std::printf("%-22s (no samples)\n", name);
+      std::fprintf(f, "%-22s (no samples)\n", name);
       return;
     }
-    std::printf("%-22s n=%-8llu p50=%-10llu p99=%-10llu max=%llu ns\n", name,
-                static_cast<unsigned long long>(h.count()),
-                static_cast<unsigned long long>(h.quantile(0.50)),
-                static_cast<unsigned long long>(h.quantile(0.99)),
-                static_cast<unsigned long long>(h.max()));
+    std::fprintf(f, "%-22s n=%-8llu p50=%-10llu p99=%-10llu max=%llu ns\n",
+                 name, static_cast<unsigned long long>(h.count()),
+                 static_cast<unsigned long long>(h.quantile(0.50)),
+                 static_cast<unsigned long long>(h.quantile(0.99)),
+                 static_cast<unsigned long long>(h.max()));
   };
   line("commit latency", m.commit_latency);
   line("safety wait", m.safety_wait);
   line("SGL hold", m.sgl_hold);
   if (m.retries.count() > 0) {
-    std::printf("%-22s n=%-8llu p50=%-10llu p99=%-10llu max=%llu attempts\n",
-                "attempts per commit",
-                static_cast<unsigned long long>(m.retries.count()),
-                static_cast<unsigned long long>(m.retries.quantile(0.50)),
-                static_cast<unsigned long long>(m.retries.quantile(0.99)),
-                static_cast<unsigned long long>(m.retries.max()));
+    std::fprintf(f,
+                 "%-22s n=%-8llu p50=%-10llu p99=%-10llu max=%llu attempts\n",
+                 "attempts per commit",
+                 static_cast<unsigned long long>(m.retries.count()),
+                 static_cast<unsigned long long>(m.retries.quantile(0.50)),
+                 static_cast<unsigned long long>(m.retries.quantile(0.99)),
+                 static_cast<unsigned long long>(m.retries.max()));
   }
 }
 
@@ -183,7 +188,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (opt.out == "-") {
+  const bool to_stdout = opt.out == "-";
+  if (to_stdout) {
     si::obs::write_chrome_trace(std::cout, tracer);
   } else {
     std::ofstream os(opt.out);
@@ -203,18 +209,20 @@ int main(int argc, char** argv) {
     events += tracer.emitted(t);
     dropped += tracer.dropped(t);
   }
-  std::printf("backend=%s workload=%s substrate=%s threads=%d commits=%llu "
-              "events=%llu dropped=%llu -> %s\n",
-              std::string(to_string(opt.backend)).c_str(),
-              opt.workload.c_str(), opt.real ? "real" : "sim", opt.threads,
-              static_cast<unsigned long long>(commits),
-              static_cast<unsigned long long>(events),
-              static_cast<unsigned long long>(dropped),
-              opt.out == "-" ? "(stdout)" : opt.out.c_str());
-  print_metrics(metrics.snapshot());
+  std::FILE* report = to_stdout ? stderr : stdout;
+  std::fprintf(report,
+               "backend=%s workload=%s substrate=%s threads=%d commits=%llu "
+               "events=%llu dropped=%llu -> %s\n",
+               std::string(to_string(opt.backend)).c_str(),
+               opt.workload.c_str(), opt.real ? "real" : "sim", opt.threads,
+               static_cast<unsigned long long>(commits),
+               static_cast<unsigned long long>(events),
+               static_cast<unsigned long long>(dropped),
+               to_stdout ? "(stdout)" : opt.out.c_str());
+  print_metrics(report, metrics.snapshot());
   if (opt.summary) {
     const auto s = si::obs::summarize_trace(tracer, opt.top_n);
-    si::obs::print_summary(std::cout, s);
+    si::obs::print_summary(to_stdout ? std::cerr : std::cout, s);
   }
   return 0;
 }
