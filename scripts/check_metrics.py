@@ -10,7 +10,8 @@ Hand-rolled validation (no third-party dependency), covering both routes:
 renderer emits): every sample line parses, every family has # HELP and
 # TYPE before its first sample, TYPE is counter/gauge/summary, no family is
 declared twice, summaries carry quantile/_sum/_count lines, and the
-si_tx_aborts_total family covers the full abort taxonomy.
+si_tx_aborts_total family covers the full abort taxonomy, and a scrape with
+the reactor families carries si_reactor_inline_reads_total too.
 
 --series checks the si-series-v1 JSON: required top-level keys, per-epoch
 records with strictly increasing seq and non-negative dt_s, per-epoch abort
@@ -57,6 +58,15 @@ EPOCH_KEYS = ["seq", "t_s", "dt_s", "completed", "accepted", "rejected",
               "failed", "goodput", "req_p50_ns", "req_p99_ns", "req_p999_ns",
               "queue_depth_p99", "commits", "aborts", "watermark",
               "log_appends", "log_bytes", "log_fsyncs", "durable_lsn"]
+
+# Families that must appear together whenever the reactor pool is scraped.
+REACTOR_FAMILIES = [
+    "si_reactor_conns_accepted_total",
+    "si_reactor_flushes_total",
+    "si_reactor_bytes_out_total",
+    "si_reactor_parse_errors_total",
+    "si_reactor_inline_reads_total",
+]
 
 # Families that must appear when the server runs with -durability on
 # (--require-durability, used by the crash-recovery smoke lane).
@@ -170,6 +180,10 @@ def check_metrics(text, require_durability=False):
                      "si_request_latency_ns", "si_uptime_seconds"):
         if required not in typed:
             errors.append(f"required family absent: {required}")
+    if any(f in typed for f in REACTOR_FAMILIES):
+        for required in REACTOR_FAMILIES:
+            if required not in typed:
+                errors.append(f"reactor family absent: {required}")
     if require_durability:
         for required in DURABILITY_FAMILIES:
             if required not in typed:

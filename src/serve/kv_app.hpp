@@ -54,7 +54,8 @@ class KvApp {
 
   void execute(si::runtime::Runtime& rt, int tid, const Request& req,
                Response* resp) {
-    PerShard& me = shards_[static_cast<std::size_t>(tid)];
+    // Only updates touch per-shard state: a get may run on a reader tid
+    // (>= shards, Service::attach_reader), which indexes no shard.
     switch (req.op) {
       case kGet: {
         std::uint64_t value = 0;
@@ -66,6 +67,7 @@ class KvApp {
         break;
       }
       case kPut: {
+        PerShard& me = shards_[static_cast<std::size_t>(tid)];
         si::hashmap::Node* fresh = me.pool.allocate();
         bool linked = false;
         rt.execute(/*is_ro=*/false, [&](auto& tx) {
@@ -77,6 +79,7 @@ class KvApp {
         break;
       }
       case kDel: {
+        PerShard& me = shards_[static_cast<std::size_t>(tid)];
         si::hashmap::Node* unlinked = nullptr;
         rt.execute(/*is_ro=*/false, [&](auto& tx) {
           unlinked = nullptr;
@@ -96,6 +99,11 @@ class KvApp {
   /// True when the opcode's transaction is read-only (for clients that want
   /// to set Request::ro consistently).
   static bool is_ro(std::uint16_t op) noexcept { return op == kGet; }
+
+  /// True when a reader thread may run the opcode inline, without a shard
+  /// hand-off (Service::serve_inline): gets are read-only, unlogged and use
+  /// no per-shard state.
+  static bool inline_op(std::uint16_t op) noexcept { return op == kGet; }
 
   /// True when a committed request of this opcode must reach the write-ahead
   /// log before its ack may be released (durability tier, DESIGN.md §14).

@@ -65,7 +65,8 @@ class MapApp : public MapOps {
 
   void execute(si::runtime::Runtime& rt, int tid, const Request& req,
                Response* resp) {
-    PerShard& me = shards_[static_cast<std::size_t>(tid)];
+    // Only updates and ranges touch per-shard state: a get may run on a
+    // reader tid (>= shards, Service::attach_reader), which indexes no shard.
     switch (req.op) {
       case kGet: {
         std::uint64_t value = 0;
@@ -74,17 +75,20 @@ class MapApp : public MapOps {
         break;
       }
       case kPut: {
+        PerShard& me = shards_[static_cast<std::size_t>(tid)];
         const bool linked =
             si::maps::map_put(map_, rt, req.key, req.arg, me.scratch);
         resp->value = linked ? 1 : 0;
         break;
       }
       case kDel: {
+        PerShard& me = shards_[static_cast<std::size_t>(tid)];
         const bool found = si::maps::map_del(map_, rt, req.key, me.scratch);
         resp->value = found ? 1 : 0;
         break;
       }
       case kRange: {
+        PerShard& me = shards_[static_cast<std::size_t>(tid)];
         const std::size_t n =
             si::maps::map_range(map_, rt, req.key, req.arg, me.hits.data(),
                                 me.hits.size());
@@ -104,6 +108,12 @@ class MapApp : public MapOps {
   static bool is_ro(std::uint16_t op) noexcept {
     return op == kGet || op == kRange;
   }
+
+  /// True when a reader thread may run the opcode inline, without a shard
+  /// hand-off (Service::serve_inline). Ranges stay on the workers: a 64-key
+  /// scan holds its thread for ~18 us, which would stall every connection on
+  /// the reactor (DESIGN.md §9).
+  static bool inline_op(std::uint16_t op) noexcept { return op == kGet; }
 
   /// Durability tier (DESIGN.md §14): puts and dels are logged; gets and
   /// ranges leave no state behind to recover.

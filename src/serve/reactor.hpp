@@ -14,7 +14,14 @@
 //    doorbell once per quiet period; the reactor drains the ring on wakeup,
 //    encodes all completions of the wakeup back-to-back, and flushes each
 //    connection once with writev. No lock is ever taken on the hot path in
-//    either direction.
+//    either direction;
+//  * a runtime tid of its own (Service::attach_reader) on which it serves
+//    point reads inline: a get that arrives on a connection with nothing in
+//    flight runs SI-HTM's read-only path right in parse_and_submit and its
+//    response is encoded straight into the connection's buffer — no shard
+//    queue, no worker wake-up, no ring, no doorbell. A frame behind an
+//    in-flight request of its own connection is submitted as before, so a
+//    get pipelined behind its connection's put still runs after that put.
 //
 // Wire format: the length-prefixed binary protocol of serve/wire.hpp, with
 // client-chosen correlation ids, so clients pipeline arbitrarily many
@@ -78,10 +85,11 @@ struct ReactorConfig {
 struct ReactorStats {
   std::uint64_t conns_accepted = 0;
   std::uint64_t conns_dropped = 0;   ///< protocol error, overflow, or EOF
-  std::uint64_t requests = 0;        ///< frames decoded and submitted
+  std::uint64_t requests = 0;        ///< frames decoded (inline or submitted)
   std::uint64_t parse_errors = 0;    ///< poisoned streams + bad payloads
   std::uint64_t rejected = 0;        ///< admission refusals answered inline
   std::uint64_t completions = 0;     ///< responses routed back through the ring
+  std::uint64_t inline_reads = 0;    ///< point reads served on the reactor
   std::uint64_t wakeups = 0;         ///< completion-drain passes that found work
   std::uint64_t flushes = 0;         ///< writev calls
   std::uint64_t bytes_in = 0;
@@ -95,6 +103,7 @@ struct ReactorStats {
     parse_errors += o.parse_errors;
     rejected += o.rejected;
     completions += o.completions;
+    inline_reads += o.inline_reads;
     wakeups += o.wakeups;
     flushes += o.flushes;
     bytes_in += o.bytes_in;
@@ -302,9 +311,9 @@ class ReactorPool {
     }
 
     void loop() {
+      reader_tid_ = pool_.service_.attach_reader();
       epoll_event events[kMaxEvents];
       std::vector<Conn*> flush_list;
-      std::vector<Completion> comp_batch(256);
       bool read_side_open = true;
 
       for (;;) {
@@ -414,6 +423,17 @@ class ReactorPool {
           return false;  // wrong payload size: peer speaks something else
         }
         ++stats_.requests;
+        // Inline only on an idle connection: a frame behind one of its own
+        // in-flight requests must not overtake it (per-key FIFO).
+        if (reader_tid_ >= 0 && conn->inflight == 0) {
+          Response resp;
+          if (pool_.service_.serve_inline(reader_tid_, req, &resp)) {
+            wire::encode_response(&conn->fresh, resp);
+            ++stats_.inline_reads;
+            mark_dirty(conn, flush_list);
+            continue;
+          }
+        }
         req.done = &ReactorPool::on_complete;
         req.ctx = conn;
         const auto sr = pool_.service_.submit(req);
@@ -604,6 +624,7 @@ class ReactorPool {
 
     ReactorPool& pool_;
     const int id_;
+    int reader_tid_ = -1;  ///< runtime tid for inline reads; -1: none
     int listen_fd_ = -1;
     int epoll_fd_ = -1;
     int event_fd_ = -1;

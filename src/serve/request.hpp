@@ -6,11 +6,15 @@
 // assignment, with no allocation or destructor on the ring.
 //
 // Completion is a C-style callback (`done(ctx, response)`), invoked exactly
-// once per accepted request, on the shard worker thread that executed it.
+// once per request Service::submit accepted, on the shard worker thread that
+// executed it (or the group-commit daemon, once a logged update is durable).
 // Callbacks must be cheap and must not re-enter the service from the same
 // shard (submitting to a *different* shard from a completion is fine). The
 // in-process clients (tests, Service::call) complete into a stack slot; the
-// TCP front end writes the response line to the connection.
+// TCP front end pushes the response onto the owning reactor's completion
+// ring. A point read the reactor serves inline (Service::serve_inline)
+// completes on the reactor's own thread and invokes no callback: the
+// response comes back to the caller directly.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +37,7 @@ struct Response {
   std::uint64_t lsn = 0;
 };
 
-/// Invoked on the shard worker after the request's transaction committed.
+/// Invoked after the request's transaction committed (see above for where).
 using CompletionFn = void (*)(void* ctx, const Response& resp);
 
 struct Request {

@@ -10,17 +10,22 @@
 //                                     │  rt.execute(...) per request
 //                               completion callback + telemetry
 //
-// Shard workers are the *only* threads that execute transactions, so the
-// backend sees a fixed thread population of `shards` registered tids — the
-// same shape as the benchmark driver — while any number of client threads
-// push requests. Requests route to a shard by key hash (or an explicit
-// shard override), so a given key is always served by the same worker; that
-// is the hook later scaling work (sharded state, routing) plugs into.
+// Shard workers run every update and every range scan, so all writes to a
+// key's state come from one worker: requests route to a shard by key hash (or
+// an explicit shard override), and a given key is always served by the same
+// worker — the hook later scaling work (sharded state, routing) plugs into.
+// Point reads may also run inline on a front-end thread: attach_reader()
+// registers the caller on a runtime tid of its own, in [shards, max_threads),
+// and serve_inline() executes an op the app marks inline (App::inline_op)
+// right there, with no queue, no wake-up and no completion hand-off. That is
+// safe on any registered thread because SI-HTM's read-only path is no
+// hardware transaction at all (Algorithm 2). The backend thus sees `shards`
+// worker tids plus at most one tid per attached reader.
 //
 // Telemetry goes through the existing observability layer: per-request
 // enqueue→complete latency and per-batch queue depth land in obs::Metrics
-// histograms, kReqDequeue/kReqComplete events in the obs::Tracer, both
-// under the worker's tid — so si_trace and the si-bench-v1 JSON emitter
+// histograms, kReqDequeue/kReqComplete events in the obs::Tracer, both under
+// the executing thread's tid — so si_trace and the si-bench-v1 JSON emitter
 // report serving runs with no extra plumbing.
 #pragma once
 
@@ -105,7 +110,8 @@ struct ServiceConfig {
   DurabilityConfig durability{};
 
   /// Backend selection, history recording and obs sinks, forwarded verbatim.
-  /// `runtime.max_threads` must be >= shards (it is raised if not).
+  /// `runtime.max_threads` must be >= shards (it is raised if not); the tids
+  /// above the shards are what attach_reader() hands out.
   si::runtime::RuntimeConfig runtime{};
 };
 
@@ -150,6 +156,18 @@ struct HasLoggedOp<
     T, std::void_t<decltype(T::logged_op(std::declval<std::uint16_t>()))>>
     : std::true_type {};
 
+/// Detects `static bool App::inline_op(std::uint16_t)` — the hook an app
+/// implements to let a reader thread run an opcode inline (serve_inline()).
+/// Such an op must be read-only, unlogged, and must not touch per-shard
+/// state, since a reader tid indexes no shard. Apps without it keep every
+/// request on the shard workers.
+template <typename T, typename = void>
+struct HasInlineOp : std::false_type {};
+template <typename T>
+struct HasInlineOp<
+    T, std::void_t<decltype(T::inline_op(std::declval<std::uint16_t>()))>>
+    : std::true_type {};
+
 /// `App` must provide `execute(si::runtime::Runtime&, int tid,
 /// const Request&, Response&)`, thread-safe across distinct tids.
 template <typename App>
@@ -167,6 +185,7 @@ class Service {
                                                        cfg_.admit_watermark));
     }
     wake_ = std::make_unique<ShardWake[]>(static_cast<std::size_t>(cfg_.shards));
+    next_reader_.store(cfg_.shards, std::memory_order_relaxed);
     if (cfg_.durability.enabled()) open_logs();
     if (cfg_.telemetry.enabled) {
       series_ = std::make_unique<si::obs::TimeSeries>(cfg_.telemetry.ring);
@@ -256,9 +275,55 @@ class Service {
     return true;
   }
 
+  /// Registers the calling thread on the next free runtime tid in
+  /// [shards, runtime.max_threads) so it may call serve_inline(). Returns the
+  /// tid, or -1 when no tid is left (the obs sinks bound the range too), the
+  /// app has no inline_op hook, or a HistoryRecorder is attached: recorded
+  /// real-thread histories are exact only while the backend stays
+  /// single-threaded (check/history.hpp), so recording runs keep every
+  /// request on the workers.
+  int attach_reader() {
+    if (!HasInlineOp<App>::value || cfg_.runtime.recorder != nullptr) {
+      return -1;
+    }
+    const int tid = next_reader_.fetch_add(1, std::memory_order_relaxed);
+    if (tid >= reader_limit()) return -1;
+    rt_.register_thread(tid);
+    return tid;
+  }
+
+  /// Runs `req` to completion on the caller's reader tid (from
+  /// attach_reader()) and fills `*out`; `req.done` is not invoked. Refuses —
+  /// returns false, nothing counted — when the app does not mark the opcode
+  /// inline or once stop() began, in which case the caller submits instead.
+  /// Counts the request as accepted and completed, so completed == accepted
+  /// and the /series reconcile stay exact.
+  bool serve_inline(int tid, Request& req, Response* out) {
+    if constexpr (!HasInlineOp<App>::value) {
+      return false;
+    } else {
+      if (!App::inline_op(req.op)) return false;
+      // Dekker pair with stop(): either stop() sees this read in flight and
+      // waits for it, or this read sees stopping_ and backs out.
+      inline_active_.fetch_add(1, std::memory_order_seq_cst);
+      if (stopping_.load(std::memory_order_seq_cst)) {
+        inline_active_.fetch_sub(1, std::memory_order_release);
+        return false;
+      }
+      req.enqueue_ns = si::obs::wall_ns();
+      accepted_.fetch_add(1, std::memory_order_relaxed);
+      *out = Response{};
+      out->id = req.id;
+      execute_and_count(tid, req, out, cfg_.runtime.obs);
+      inline_active_.fetch_sub(1, std::memory_order_release);
+      return true;
+    }
+  }
+
   /// Rejects further submissions (Admit::kStopped) and joins the workers
   /// after they drained every already-accepted request, so completed ==
-  /// accepted at return. With durability on, the group-commit daemon then
+  /// accepted at return (an inline read that began before stop() finishes
+  /// first). With durability on, the group-commit daemon then
   /// performs one final flush + fsync of every shard's buffered log tail and
   /// releases every held ack before it is joined — a clean SIGTERM drain is
   /// always recoverable with zero replay loss, and every accepted request's
@@ -267,6 +332,8 @@ class Service {
   void stop() {
     bool expected = false;
     if (!stopping_.compare_exchange_strong(expected, true)) return;
+    si::util::Backoff bo;
+    while (inline_active_.load(std::memory_order_seq_cst) != 0) bo.pause();
     if (epoch_thread_.joinable()) {
       // The empty critical section orders the stopping_ store before the
       // epoch thread's predicate check, so the notify cannot be lost.
@@ -410,6 +477,20 @@ class Service {
       cfg.durability.pending_ring = cfg.queue_capacity;
     }
     return cfg;
+  }
+
+  /// One past the highest tid attach_reader() may hand out: the runtime's
+  /// thread population, capped by the obs sinks' per-thread slots.
+  int reader_limit() const noexcept {
+    const si::obs::ObsConfig& obs = cfg_.runtime.obs;
+    int limit = cfg_.runtime.max_threads;
+    if (obs.metrics != nullptr && obs.metrics->threads() < limit) {
+      limit = obs.metrics->threads();
+    }
+    if (obs.tracer != nullptr && obs.tracer->threads() < limit) {
+      limit = obs.tracer->threads();
+    }
+    return limit;
   }
 
   /// Creates a private Metrics sink when the epoch thread (AIMD and/or the
@@ -616,17 +697,7 @@ class Service {
   bool serve_one(int tid, const Request& req, const si::obs::ObsConfig& obs) {
     Response resp;
     resp.id = req.id;
-    app_.execute(rt_, tid, req, &resp);
-    resp.latency_ns = si::obs::wall_ns() - req.enqueue_ns;
-    if (resp.latency_ns < 0) resp.latency_ns = 0;
-    if (obs.enabled()) {
-      obs.req_complete(tid, req.enqueue_ns + resp.latency_ns, req.enqueue_ns,
-                       req.op, static_cast<std::uint32_t>(resp.status));
-    }
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    if (resp.status == Status::kFailed) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-    }
+    execute_and_count(tid, req, &resp, obs);
     // Ack gating (DESIGN.md §14): a committed update is appended to the
     // shard's WAL and its completion is parked until the group-commit daemon
     // has made the covering LSN durable. Read-only ops, failed requests and
@@ -642,6 +713,24 @@ class Service {
     }
     if (req.done != nullptr) req.done(req.ctx, resp);
     return false;
+  }
+
+  /// The part of serving a request that the worker and the inline path
+  /// share: run the app on `tid`, stamp the latency, record the completion
+  /// telemetry and bump the counters.
+  void execute_and_count(int tid, const Request& req, Response* resp,
+                         const si::obs::ObsConfig& obs) {
+    app_.execute(rt_, tid, req, resp);
+    resp->latency_ns = si::obs::wall_ns() - req.enqueue_ns;
+    if (resp->latency_ns < 0) resp->latency_ns = 0;
+    if (obs.enabled()) {
+      obs.req_complete(tid, req.enqueue_ns + resp->latency_ns, req.enqueue_ns,
+                       req.op, static_cast<std::uint32_t>(resp->status));
+    }
+    completed_.fetch_add(1, std::memory_order_relaxed);
+    if (resp->status == Status::kFailed) {
+      failed_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 
   /// Parks a completed-but-not-yet-durable response on the shard's held-ack
@@ -811,6 +900,8 @@ class Service {
   std::atomic<std::uint64_t> rejected_stopped_{0};
   alignas(128) std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> failed_{0};
+  std::atomic<int> next_reader_{0};    ///< set to shards in the ctor
+  std::atomic<int> inline_active_{0};  ///< serve_inline() calls in progress
   // Durability tier (empty/idle when cfg_.durability.mode == kOff).
   std::vector<std::unique_ptr<si::durability::ShardLog>> logs_;
   std::vector<std::unique_ptr<MpscRing<HeldAck>>> held_;

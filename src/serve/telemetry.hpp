@@ -153,6 +153,10 @@ inline std::string render_prometheus(const TelemetrySources& src) {
     detail::counter(os, "si_reactor_parse_errors_total",
                     "Frames dropped as unparseable.",
                     src.reactor->parse_errors);
+    detail::counter(os, "si_reactor_inline_reads_total",
+                    "Point reads served on a reactor's own tid, with no "
+                    "shard hand-off.",
+                    src.reactor->inline_reads);
   }
 
   // Durability plane (DESIGN.md §14): rendered only when the WAL is on so
@@ -249,6 +253,8 @@ inline std::string render_series_json(const TelemetrySources& src) {
     w.value(src.reactor->bytes_in);
     w.key("bytes_out");
     w.value(src.reactor->bytes_out);
+    w.key("inline_reads");
+    w.value(src.reactor->inline_reads);
     w.end_object();
   }
 

@@ -2,8 +2,21 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace si::util {
+
+namespace {
+
+/// Whether the argument after `-f` is f's value rather than the next flag:
+/// anything not starting with '-', a lone "-" (stdin/stdout by convention),
+/// and a negative number.
+bool is_value(std::string_view arg) {
+  return arg.empty() || arg[0] != '-' || arg.size() == 1 ||
+         (arg[1] >= '0' && arg[1] <= '9') || arg[1] == '.';
+}
+
+}  // namespace
 
 Cli::Cli(int argc, char** argv) {
   if (argc > 0) program_ = argv[0];
@@ -15,13 +28,11 @@ Cli::Cli(int argc, char** argv) {
       if (auto eq = name.find('='); eq != std::string_view::npos) {
         values_.emplace(std::string(name.substr(0, eq)), std::string(name.substr(eq + 1)));
       } else if (long_form) {
-        values_.emplace(std::string(name), "1");  // --flag: boolean switch
-      } else if (i + 1 < argc && (argv[i + 1][0] != '-' ||
-                                  std::string_view(argv[i + 1]) == "-")) {
-        // -f value; a lone "-" is a value too (stdin/stdout by convention).
+        switches_.emplace(name);  // --flag: boolean switch
+      } else if (i + 1 < argc && is_value(argv[i + 1])) {
         values_.emplace(std::string(name), std::string(argv[++i]));
       } else {
-        values_.emplace(std::string(name), "1");
+        switches_.emplace(name);
       }
     } else {
       positional_.emplace_back(arg);
@@ -29,25 +40,36 @@ Cli::Cli(int argc, char** argv) {
   }
 }
 
+const std::string* Cli::find(std::string_view name) const {
+  if (auto it = values_.find(name); it != values_.end()) return &it->second;
+  if (switches_.count(name) != 0) {
+    throw std::invalid_argument("flag -" + std::string(name) +
+                                " needs a value");
+  }
+  return nullptr;
+}
+
 std::string Cli::get(std::string_view name, std::string_view def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? std::string(def) : it->second;
+  const std::string* v = find(name);
+  return v == nullptr ? std::string(def) : *v;
 }
 
 std::int64_t Cli::get_int(std::string_view name, std::int64_t def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
+  const std::string* v = find(name);
+  if (v == nullptr) return def;
   std::int64_t out = def;
-  std::from_chars(it->second.data(), it->second.data() + it->second.size(), out);
+  std::from_chars(v->data(), v->data() + v->size(), out);
   return out;
 }
 
 double Cli::get_double(std::string_view name, double def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  const std::string* v = find(name);
+  return v == nullptr ? def : std::strtod(v->c_str(), nullptr);
 }
 
-bool Cli::has(std::string_view name) const { return values_.count(name) != 0; }
+bool Cli::has(std::string_view name) const {
+  return values_.count(name) != 0 || switches_.count(name) != 0;
+}
 
 std::vector<int> parse_int_list(std::string_view text, std::vector<int> def) {
   if (text.empty()) return def;

@@ -1,8 +1,9 @@
 // Lifecycle tests for the multi-reactor epoll front end (serve/reactor.hpp):
 // a drain with pipelined requests in flight must answer every accepted
 // request before the sockets close; a slow reader must be dropped by the
-// outbound cap instead of buffering without bound; and a recorded
-// multi-reactor serve run must still be admissible under SI.
+// outbound cap instead of buffering without bound; a recorded multi-reactor
+// serve run must still be admissible under SI; and point reads served inline
+// on the reactor must never overtake their own connection's updates.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -13,6 +14,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -38,12 +40,14 @@ struct TestServer {
   std::unique_ptr<Service<KvApp>> svc;
   std::unique_ptr<ReactorPool<Service<KvApp>>> pool;
 
-  explicit TestServer(int shards, int reactors,
-                      std::size_t max_outbuf = 4u << 20,
-                      si::check::HistoryRecorder* rec = nullptr) {
+  explicit TestServer(
+      int shards, int reactors, std::size_t max_outbuf = 4u << 20,
+      si::check::HistoryRecorder* rec = nullptr,
+      int max_threads = si::runtime::RuntimeConfig{}.max_threads) {
     scfg.shards = shards;
     scfg.runtime.backend = si::runtime::Backend::kSiHtm;
     scfg.runtime.recorder = rec;
+    scfg.runtime.max_threads = max_threads;
     acfg.buckets = 64;
     acfg.seed_elements = 500;
     acfg.key_space = 1000;
@@ -74,16 +78,23 @@ int connect_or_die(std::uint16_t port) {
   return fd;
 }
 
+struct Answer {
+  std::uint64_t id = 0;
+  int status = -1;
+  std::uint64_t value = 0;
+};
+
 /// Blocking-reads response frames from `fd` until `want` frames arrived,
-/// EOF, or the deadline. Returns the correlation ids seen.
-std::vector<std::uint64_t> read_responses(int fd, std::size_t want,
-                                          int deadline_ms = 10'000) {
-  std::vector<std::uint64_t> ids;
+/// EOF, or the deadline. Returns the answers in arrival order.
+std::vector<Answer> read_answers(int fd, std::size_t want,
+                                 int deadline_ms = 10'000) {
+  std::vector<Answer> answers;
   wire::FrameParser parser;
   char chunk[16 * 1024];
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(deadline_ms);
-  while (ids.size() < want && std::chrono::steady_clock::now() < deadline) {
+  while (answers.size() < want &&
+         std::chrono::steady_clock::now() < deadline) {
     pollfd p{fd, POLLIN, 0};
     if (::poll(&p, 1, 100) <= 0) continue;
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
@@ -95,13 +106,22 @@ std::vector<std::uint64_t> read_responses(int fd, std::size_t want,
     parser.append(chunk, static_cast<std::size_t>(n));
     wire::FrameView f;
     while (parser.next(&f)) {
-      std::uint64_t id = 0, value = 0;
-      int status = -1;
-      EXPECT_TRUE(wire::decode_response(f, &id, &status, &value));
-      ids.push_back(id);
+      Answer a;
+      EXPECT_TRUE(wire::decode_response(f, &a.id, &a.status, &a.value));
+      answers.push_back(a);
     }
   }
   EXPECT_FALSE(parser.poisoned());
+  return answers;
+}
+
+/// The correlation ids of read_answers().
+std::vector<std::uint64_t> read_responses(int fd, std::size_t want,
+                                          int deadline_ms = 10'000) {
+  std::vector<std::uint64_t> ids;
+  for (const Answer& a : read_answers(fd, want, deadline_ms)) {
+    ids.push_back(a.id);
+  }
   return ids;
 }
 
@@ -241,6 +261,146 @@ TEST(ReactorHistory, MultiReactorServeRunPassesSiChecker) {
   const auto verdict = si::check::verify_si(rec.merged());
   EXPECT_TRUE(verdict.ok()) << si::check::describe(verdict);
   EXPECT_GT(verdict.committed, 0u);
+  EXPECT_GT(verdict.reads_checked, 0u);
+}
+
+// One connection, kRounds rounds. Each round first gets the previous
+// round's keys one frame at a time, waiting for each answer: the connection
+// is idle, so these run inline where the server allows it. Then it sends
+// put(K, v) immediately followed by get(K) for kKeys fresh keys in a single
+// send: each get sits behind its own connection's in-flight put, so it must
+// queue behind that put and return v. Returns every get's value in request
+// order, so runs with and without the inline path can be compared.
+std::vector<std::uint64_t> put_get_rounds(TestServer& server) {
+  constexpr std::uint64_t kRounds = 40;
+  constexpr std::uint64_t kKeys = 32;
+  const int fd = connect_or_die(server.pool->port());
+  std::vector<std::uint64_t> got;
+  std::map<std::uint64_t, std::uint64_t> written;  // key -> last put value
+  std::vector<std::uint64_t> prev_keys;
+  std::uint64_t next_id = 1;
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    for (std::uint64_t key : prev_keys) {
+      std::string frame;
+      wire::encode_request(&frame, next_id++, KvApp::kGet, key, 0);
+      EXPECT_TRUE(net::send_all(fd, frame.data(), frame.size()));
+      const auto a = read_answers(fd, 1);
+      if (a.size() != 1) {
+        ADD_FAILURE() << "idle get of key " << key << " unanswered";
+        ::close(fd);
+        return got;
+      }
+      EXPECT_EQ(a[0].status, static_cast<int>(Status::kOk));
+      EXPECT_EQ(a[0].value, written[key]) << "idle get, key " << key;
+      got.push_back(a[0].value);
+    }
+    std::string batch;
+    std::map<std::uint64_t, std::uint64_t> get_key;  // get id -> key
+    prev_keys.clear();
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+      // Distinct keys within a round; a key comes back every few rounds.
+      const std::uint64_t key = ((round % 8) * kKeys + k) * 3 % 1000;
+      const std::uint64_t value = (round << 32) | (k + 1);
+      wire::encode_request(&batch, next_id++, KvApp::kPut, key, value);
+      get_key[next_id] = key;
+      wire::encode_request(&batch, next_id++, KvApp::kGet, key, 0);
+      written[key] = value;
+      prev_keys.push_back(key);
+    }
+    EXPECT_TRUE(net::send_all(fd, batch.data(), batch.size()));
+    const auto answers = read_answers(fd, 2 * kKeys);
+    EXPECT_EQ(answers.size(), 2 * kKeys) << "round " << round;
+    std::map<std::uint64_t, std::uint64_t> by_id;
+    for (const Answer& a : answers) {
+      EXPECT_EQ(a.status, static_cast<int>(Status::kOk));
+      by_id[a.id] = a.value;
+    }
+    for (const auto& [id, key] : get_key) {
+      EXPECT_EQ(by_id[id], written[key])
+          << "get overtook its put: round " << round << " key " << key;
+      got.push_back(by_id[id]);
+    }
+    prev_keys.resize(4);
+  }
+  ::close(fd);
+  return got;
+}
+
+void expect_drained(TestServer& server) {
+  const auto c = server.svc->counters();
+  EXPECT_EQ(c.accepted, c.completed);
+  EXPECT_EQ(c.failed, 0u);
+  EXPECT_EQ(server.pool->stats().parse_errors, 0u);
+}
+
+// Per-key FIFO on one shard: a get pipelined behind its connection's put
+// never runs inline ahead of it.
+TEST(ReactorInline, PipelinedGetSeesItsPutOnOneShard) {
+  TestServer server(/*shards=*/1, /*reactors=*/1);
+  put_get_rounds(server);
+  server.shutdown();
+  expect_drained(server);
+  EXPECT_GT(server.pool->stats().inline_reads, 0u);
+}
+
+TEST(ReactorInline, PipelinedGetSeesItsPutOnTwoShards) {
+  TestServer server(/*shards=*/2, /*reactors=*/2);
+  put_get_rounds(server);
+  server.shutdown();
+  expect_drained(server);
+  EXPECT_GT(server.pool->stats().inline_reads, 0u);
+}
+
+// Gets on an idle connection skip the shard queues, and count as accepted
+// and completed like any other request.
+TEST(ReactorInline, IdleConnectionGetsRunInline) {
+  TestServer server(/*shards=*/2, /*reactors=*/1);
+  const int fd = connect_or_die(server.pool->port());
+  constexpr std::uint64_t kGets = 64;
+  for (std::uint64_t i = 0; i < kGets; ++i) {
+    std::string frame;
+    wire::encode_request(&frame, i, KvApp::kGet, i * 7 % 1000, 0);
+    ASSERT_TRUE(net::send_all(fd, frame.data(), frame.size()));
+    ASSERT_EQ(read_responses(fd, 1).size(), 1u) << "get " << i;
+  }
+  ::close(fd);
+  server.shutdown();
+  expect_drained(server);
+  const auto stats = server.pool->stats();
+  EXPECT_EQ(stats.inline_reads, kGets);
+  EXPECT_EQ(stats.completions, 0u) << "an idle get went through the ring";
+  EXPECT_EQ(server.svc->counters().completed, kGets);
+}
+
+// With no runtime tid to spare every request goes through the shards, and
+// the answers are the same as with the inline path.
+TEST(ReactorInline, NoSpareTidKeepsReadsOnTheShards) {
+  TestServer with(/*shards=*/2, /*reactors=*/1);
+  const auto inline_answers = put_get_rounds(with);
+  with.shutdown();
+  EXPECT_GT(with.pool->stats().inline_reads, 0u);
+
+  TestServer without(/*shards=*/2, /*reactors=*/1, /*max_outbuf=*/4u << 20,
+                     /*rec=*/nullptr, /*max_threads=*/2);
+  const auto shard_answers = put_get_rounds(without);
+  without.shutdown();
+  expect_drained(without);
+  EXPECT_EQ(without.pool->stats().inline_reads, 0u);
+  EXPECT_EQ(inline_answers, shard_answers);
+}
+
+// A recorded run keeps the backend single-threaded, so the history stays
+// exact: no reader attaches and the verifier still passes.
+TEST(ReactorInline, RecordedRunKeepsReadsOnTheShards) {
+  si::check::HistoryRecorder rec(1);
+  TestServer server(/*shards=*/1, /*reactors=*/1, /*max_outbuf=*/4u << 20,
+                    &rec);
+  put_get_rounds(server);
+  server.shutdown();
+  expect_drained(server);
+  EXPECT_EQ(server.pool->stats().inline_reads, 0u);
+  const auto verdict = si::check::verify_si(rec.merged());
+  EXPECT_TRUE(verdict.ok()) << si::check::describe(verdict);
   EXPECT_GT(verdict.reads_checked, 0u);
 }
 

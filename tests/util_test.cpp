@@ -3,6 +3,8 @@
 
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "util/backoff.hpp"
@@ -228,10 +230,37 @@ TEST(CliTest, LoneDashIsAValue) {
   const char* argv[] = {"prog", "-out", "-", "-summary", "-in", "-", "pos"};
   Cli cli(7, const_cast<char**>(argv));
   EXPECT_EQ(cli.get("out"), "-");
-  EXPECT_EQ(cli.get("summary"), "1");
+  EXPECT_TRUE(cli.has("summary"));
   EXPECT_EQ(cli.get("in"), "-");
   ASSERT_EQ(cli.positional().size(), 1u);
   EXPECT_EQ(cli.positional()[0], "pos");
+}
+
+TEST(CliTest, ValueFlagWithoutValueThrows) {
+  // A value flag given last, or followed by another flag, is a bare switch:
+  // reading it as a value must fail loudly rather than yield "1".
+  const char* argv[] = {"prog", "-seed", "-threads", "4", "--verbose", "-out"};
+  Cli cli(6, const_cast<char**>(argv));
+  EXPECT_TRUE(cli.has("seed"));
+  EXPECT_TRUE(cli.has("out"));
+  EXPECT_TRUE(cli.has("verbose"));
+  EXPECT_EQ(cli.get_int("threads", 0), 4);
+  EXPECT_THROW(cli.get("out"), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("seed", 1), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("verbose", 0.0), std::invalid_argument);
+  try {
+    cli.get("out", "trace.json");
+    FAIL() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("-out"), std::string::npos);
+  }
+  EXPECT_EQ(cli.get("absent", "def"), "def");
+
+  // A negative number is a value, not the next flag.
+  const char* neg[] = {"prog", "-offset", "-5", "-scale", "-.5"};
+  Cli negative(5, const_cast<char**>(neg));
+  EXPECT_EQ(negative.get_int("offset", 0), -5);
+  EXPECT_DOUBLE_EQ(negative.get_double("scale", 0.0), -0.5);
 }
 
 TEST(CliTest, ParseIntList) {

@@ -13,6 +13,7 @@
 // Exits 0 when every schedule is clean, 1 otherwise.
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 
 #include "check/fuzzer.hpp"
 #include "check/history.hpp"
@@ -32,9 +33,7 @@ void usage(const char* prog) {
                prog);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   si::util::Cli cli(argc, argv);
   if (cli.has("help")) {
     usage(argv[0]);
@@ -103,4 +102,16 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.first_failure.seed));
   }
   return s.ok() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {  // a value flag without a value
+    std::fprintf(stderr, "si_fuzz: %s\n", e.what());
+    usage(argv[0]);
+    return 2;
+  }
 }

@@ -50,6 +50,7 @@
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -626,9 +627,7 @@ void run_engines(const Options& opt, std::vector<ConnResult>* results) {
   for (auto& t : threads) t.join();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   si::util::Cli cli(argc, argv);
   if (cli.has("help")) {
     usage(argv[0]);
@@ -654,6 +653,10 @@ int main(int argc, char** argv) {
   opt.client_threads = static_cast<int>(cli.get_int("client-threads", 2));
   if (opt.conns < 1) opt.conns = 1;
   opt.ledger = cli.get("ledger", "");
+  // Read before the run so a flag that lost its value fails up front.
+  si::bench::JsonSink sink = si::bench::JsonSink::from_cli(cli, "si_loadgen");
+  const std::string system = cli.get("system", "serve-bin");
+  const std::string point = cli.get("point", "run");
   if (!opt.ledger.empty() && !g_ledger.open(opt.ledger)) {
     std::fprintf(stderr, "cannot open ledger file: %s\n", opt.ledger.c_str());
     return 2;
@@ -717,11 +720,10 @@ int main(int argc, char** argv) {
   // Client-side si-bench-v1 record for the saturation sweep
   // (scripts/serve_sweep.py): goodput is the throughput field, client
   // latency percentiles ride in the req_latency_* fields.
-  si::bench::JsonSink sink = si::bench::JsonSink::from_cli(cli, "si_loadgen");
   if (sink.enabled()) {
     si::bench::BenchRecord rec;
-    rec.system = cli.get("system", "serve-bin");
-    rec.point = cli.get("point", "run");
+    rec.system = system;
+    rec.point = point;
     rec.threads = opt.conns;
     rec.throughput =
         elapsed_s > 0 ? static_cast<double>(total.ok) / elapsed_s : 0.0;
@@ -741,4 +743,16 @@ int main(int argc, char** argv) {
           !io_error)
              ? 0
              : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {  // a value flag without a value
+    std::fprintf(stderr, "si_loadgen: %s\n", e.what());
+    usage(argv[0]);
+    return 2;
+  }
 }

@@ -8,9 +8,11 @@
 // N`) with SO_REUSEPORT listeners speaking the length-prefixed binary
 // protocol of serve/wire.hpp: clients pipeline many requests per connection,
 // completions route back to the owning reactor over MPSC rings and flush
-// with writev. Admission-control rejections are answered inline by the
-// reactor with Status::kRejected and the retry hint, so overload sheds at the
-// socket instead of queueing.
+// with writev. A point read on a connection with nothing in flight skips the
+// shards: the reactor runs it on a runtime tid of its own, so the backend's
+// thread population is shards + reactors. Admission-control rejections are
+// answered inline by the reactor with Status::kRejected and the retry hint,
+// so overload sheds at the socket instead of queueing.
 //
 // Runs until SIGINT/SIGTERM, then drains in-flight requests and prints the
 // service counters plus request-latency percentiles. `-json FILE` also
@@ -21,6 +23,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -68,6 +71,14 @@ void usage(const char* prog) {
                "          [-json FILE]\n",
                prog);
 }
+
+/// Front-end settings and exit-report sinks, read in main() before anything
+/// starts, so a flag that lost its value fails before the port opens.
+struct FrontEndOptions {
+  si::serve::ReactorConfig reactor;
+  si::bench::JsonSink sink;
+  std::string backend_name;
+};
 
 /// Starts the admin/observability endpoint when `-admin-port` was given
 /// (DESIGN.md §13). Handlers run on the admin thread and read snapshot
@@ -121,9 +132,9 @@ std::unique_ptr<si::serve::AdminServer> start_admin(
 /// Post-run reporting: front-end and service counters, latency percentiles,
 /// AIMD state and the optional si-bench-v1 JSON record.
 template <typename ServiceT>
-int report_run(ServiceT& service, si::util::Cli& cli,
-               si::obs::Metrics& metrics, const std::string& backend_name,
-               const si::serve::ReactorStats& rs) {
+int report_run(ServiceT& service, si::obs::Metrics& metrics,
+               FrontEndOptions& fe, const si::serve::ReactorStats& rs) {
+  const std::string& backend_name = fe.backend_name;
   const auto c = service.counters();
   const auto snap = metrics.snapshot();
   std::printf("si_serve: conns=%llu parsed=%llu parse-errors=%llu\n",
@@ -190,7 +201,7 @@ int report_run(ServiceT& service, si::util::Cli& cli,
                 aimd.last_abort_pct);
   }
 
-  si::bench::JsonSink sink = si::bench::JsonSink::from_cli(cli, "si_serve");
+  si::bench::JsonSink& sink = fe.sink;
   sink.set_backend(backend_name);
   if (sink.enabled()) {
     // Open-ended run: throughput is left 0 (no measured window); commits and
@@ -228,14 +239,10 @@ int report_run(ServiceT& service, si::util::Cli& cli,
 /// drains and reports.
 template <typename ServiceT>
 int run_front_end(ServiceT& service, si::util::Cli& cli,
-                          si::obs::Metrics& metrics,
-                          const std::string& backend_name) {
-  si::serve::ReactorConfig rcfg;
-  rcfg.reactors = static_cast<int>(cli.get_int("reactors", 2));
-  rcfg.port = static_cast<std::uint16_t>(cli.get_int("port", 7070));
-  rcfg.max_outbuf = static_cast<std::size_t>(
-      cli.get_int("max-outbuf", 4 * 1024 * 1024));
-  si::obs::Metrics reactor_metrics(rcfg.reactors < 1 ? 1 : rcfg.reactors);
+                  si::obs::Metrics& metrics, FrontEndOptions& fe) {
+  const std::string& backend_name = fe.backend_name;
+  si::serve::ReactorConfig rcfg = fe.reactor;
+  si::obs::Metrics reactor_metrics(rcfg.reactors);
   rcfg.metrics = &reactor_metrics;
 
   si::serve::ReactorPool<ServiceT> pool(service, rcfg);
@@ -276,16 +283,17 @@ int run_front_end(ServiceT& service, si::util::Cli& cli,
   const auto rs = pool.stats();
   const auto rsnap = reactor_metrics.snapshot();
   std::printf(
-      "si_serve: reactors completions=%llu wakeups=%llu flushes=%llu "
-      "batch-p50=%llu flush-bytes-p50=%llu overflow-drops=%llu\n",
+      "si_serve: reactors completions=%llu inline-reads=%llu wakeups=%llu "
+      "flushes=%llu batch-p50=%llu flush-bytes-p50=%llu overflow-drops=%llu\n",
       static_cast<unsigned long long>(rs.completions),
+      static_cast<unsigned long long>(rs.inline_reads),
       static_cast<unsigned long long>(rs.wakeups),
       static_cast<unsigned long long>(rs.flushes),
       static_cast<unsigned long long>(rsnap.reactor_batch.quantile(0.50)),
       static_cast<unsigned long long>(
           rsnap.reactor_flush_bytes.quantile(0.50)),
       static_cast<unsigned long long>(rs.overflow_drops));
-  return report_run(service, cli, metrics, backend_name, rs);
+  return report_run(service, metrics, fe, rs);
 }
 
 /// `-recover`: scan the shard logs, replay the trusted records into `app`
@@ -344,7 +352,7 @@ int run_recovery(App& app, const si::serve::ServiceConfig& scfg,
 /// then (unless -recover-only) the service + front end.
 template <typename App>
 int serve_app(App& app, si::serve::ServiceConfig& scfg, si::util::Cli& cli,
-              si::obs::Metrics& metrics, const std::string& backend_name) {
+              si::obs::Metrics& metrics, FrontEndOptions& fe) {
   if (cli.has("recover") || cli.has("recover-only")) {
     const int rc = run_recovery(app, scfg, cli);
     if (rc != 0 || cli.has("recover-only")) return rc;
@@ -357,16 +365,14 @@ int serve_app(App& app, si::serve::ServiceConfig& scfg, si::util::Cli& cli,
                   scfg.durability.dir.c_str(), scfg.durability.group_commit_us);
       std::fflush(stdout);
     }
-    return run_front_end(service, cli, metrics, backend_name);
+    return run_front_end(service, cli, metrics, fe);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "si_serve: %s\n", e.what());
     return 2;
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   si::util::Cli cli(argc, argv);
   if (cli.has("help")) {
     usage(argv[0]);
@@ -401,7 +407,16 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(cli.get_int("aimd-epoch-us", 5000));
   scfg.aimd.wakeup_cut_per_epoch =
       static_cast<std::uint64_t>(cli.get_int("aimd-wakeup-cut", 0));
-  scfg.runtime.max_threads = scfg.shards;
+  FrontEndOptions fe;
+  fe.reactor.reactors = static_cast<int>(cli.get_int("reactors", 2));
+  if (fe.reactor.reactors < 1) fe.reactor.reactors = 1;
+  fe.reactor.port = static_cast<std::uint16_t>(cli.get_int("port", 7070));
+  fe.reactor.max_outbuf = static_cast<std::size_t>(
+      cli.get_int("max-outbuf", 4 * 1024 * 1024));
+  fe.sink = si::bench::JsonSink::from_cli(cli, "si_serve");
+  // One tid per shard worker plus one per reactor: each reactor serves point
+  // reads inline on a tid of its own (Service::attach_reader).
+  scfg.runtime.max_threads = scfg.shards + fe.reactor.reactors;
   scfg.runtime.retry_budget.enabled = cli.has("adaptive-retries");
   // The admin endpoint is useless without the epoch aggregator behind it, so
   // -admin-port implies telemetry (and with it a private metrics sink).
@@ -441,13 +456,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  si::obs::Metrics metrics(scfg.shards);
+  si::obs::Metrics metrics(scfg.runtime.max_threads);
   scfg.runtime.obs.metrics = &metrics;
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
-  const std::string backend_name{si::runtime::to_string(scfg.runtime.backend)};
+  fe.backend_name = si::runtime::to_string(scfg.runtime.backend);
   if (workload == "hashmap") {
     si::serve::KvAppConfig acfg;
     acfg.buckets = static_cast<std::size_t>(cli.get_int("buckets", 1000));
@@ -455,7 +470,7 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(cli.get_int("elements", 20000));
     acfg.key_space = acfg.seed_elements * 2;
     si::serve::KvApp app(acfg, scfg.shards);
-    return serve_app(app, scfg, cli, metrics, backend_name);
+    return serve_app(app, scfg, cli, metrics, fe);
   }
 
   if (workload == "map") {
@@ -475,7 +490,7 @@ int main(int argc, char** argv) {
     auto serve_map = [&](auto map_tag) {
       using Map = typename decltype(map_tag)::type;
       si::serve::MapApp<Map> app(acfg, scfg.shards);
-      return serve_app(app, scfg, cli, metrics, backend_name);
+      return serve_app(app, scfg, cli, metrics, fe);
     };
     switch (st) {
       case si::maps::Struct::kSkiplist:
@@ -495,5 +510,17 @@ int main(int argc, char** argv) {
   dcfg.initial_orders_per_district = 200;
   dcfg.order_ring_bits = 10;
   si::serve::TpccApp app(dcfg, si::tpcc::Mix::standard(), scfg.shards);
-  return serve_app(app, scfg, cli, metrics, backend_name);
+  return serve_app(app, scfg, cli, metrics, fe);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {  // a value flag without a value
+    std::fprintf(stderr, "si_serve: %s\n", e.what());
+    usage(argv[0]);
+    return 2;
+  }
 }

@@ -24,6 +24,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "hashmap/workload.hpp"
@@ -118,9 +119,7 @@ void print_metrics(std::FILE* f, const si::obs::MetricsSnapshot& m) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   si::util::Cli cli(argc, argv);
   if (cli.has("help")) {
     usage(argv[0]);
@@ -225,4 +224,16 @@ int main(int argc, char** argv) {
     si::obs::print_summary(to_stdout ? std::cerr : std::cout, s);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {  // a value flag without a value
+    std::fprintf(stderr, "si_trace: %s\n", e.what());
+    usage(argv[0]);
+    return 2;
+  }
 }
