@@ -14,8 +14,8 @@
 #include <thread>
 
 #include "p8htm/htm.hpp"
+#include "protocol/state_table.hpp"
 #include "protocol/tm.hpp"
-#include "sihtm/state_table.hpp"
 #include "util/backoff.hpp"
 
 namespace {
@@ -76,7 +76,7 @@ void demo_sihtm_prevents_it() {
       first = tx.read(&x.v);
       reader_in.store(true, std::memory_order_release);
       si::util::Backoff b;
-      while (cc.substrate().state(1) != si::sihtm::kCompleted) b.pause();
+      while (cc.substrate().state(1) != si::protocol::kCompleted) b.pause();
       second = tx.read(&x.v);
     });
   });

@@ -75,7 +75,9 @@ DURABILITY_FAMILIES = [
     "si_log_bytes_total",
     "si_log_flushes_total",
     "si_log_fsyncs_total",
+    "si_log_io_errors_total",
     "si_log_durable_lsn",
+    "si_log_acks_held",
     "si_durable_ack_latency_ns",
 ]
 

@@ -67,8 +67,7 @@ def start_server(args, reactors, durability="off", log_dir=None):
         "-elements", str(args.elements),
     ]
     if durability != "off":
-        cmd += ["-durability", durability, "-log-dir", log_dir,
-                "-group-commit-us", str(args.group_commit_us)]
+        cmd += ["-durability", durability, "-log-dir", log_dir]
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True)
     deadline = time.time() + 10
@@ -166,7 +165,6 @@ def main():
                     help="comma-separated -durability modes to sweep "
                          "(off,buffered,fsync,odirect); non-off modes "
                          "suffix the system name")
-    ap.add_argument("--group-commit-us", type=int, default=200)
     ap.add_argument("--rates", default="",
                     help="comma-separated open-loop arrival rates (req/s); "
                          "adds a serve-bin-open system swept over -rate "

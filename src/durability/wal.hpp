@@ -1,12 +1,11 @@
 // Per-shard append-only write-ahead log (DESIGN.md section 14).
 //
-// One ShardLog per shard worker. The worker is the only appender; the
-// group-commit daemon (serve/service.hpp) is the only flusher. append()
-// encodes the record into an in-memory pending buffer under a short mutex
-// and returns the record's LSN; flush() swaps the buffer out under the same
-// mutex, then does the write()/fsync() *outside* it, so a multi-millisecond
-// fsync never blocks the shard worker's commit path — that is the whole
-// point of group commit.
+// One ShardLog per shard worker, which is its only appender and its only
+// flusher, so the log takes no lock. append() encodes the record into an
+// in-memory pending buffer and returns the record's LSN; the worker calls
+// flush() when its queue drains or once `batch_max` records wait
+// (serve/service.hpp), so one write() and at most one fsync cover every
+// record appended since the last flush — that is group commit.
 //
 // Durability modes (the -durability knob):
 //   kOff      no log at all (ShardLog is not even constructed)
@@ -43,7 +42,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -201,8 +199,7 @@ class ShardLog {
   std::size_t truncated_bytes() const noexcept { return truncated_bytes_; }
 
   /// Appends one committed record; returns its LSN. Called only by the
-  /// owning shard worker. Cheap: an encode + buffer append under a mutex
-  /// whose only other taker (flush) holds it for a swap, never for I/O.
+  /// owning shard worker. Cheap: an encode plus a buffer append, no I/O.
   std::uint64_t append(std::uint64_t id, std::uint64_t key, std::uint64_t arg,
                        std::uint16_t op) {
     LogRecord rec;
@@ -210,7 +207,6 @@ class ShardLog {
     rec.key = key;
     rec.arg = arg;
     rec.op = op;
-    std::lock_guard<std::mutex> g(mu_);
     rec.lsn = next_lsn_++;
     const std::size_t off = pending_.size();
     pending_.resize(off + kRecordSize);
@@ -222,42 +218,14 @@ class ShardLog {
   }
 
   /// Writes (and in the sync modes, fsyncs) everything appended so far, then
-  /// advances the durable LSN. Called only by the group-commit daemon; the
-  /// I/O happens outside the append mutex. After a failed write or fsync
-  /// the log is broken for good: later batches are dropped unwritten, so the
-  /// file stays a gap-free prefix and durable_lsn() stays below the first
-  /// lost record.
+  /// advances the durable LSN. Called only by the owning shard worker. After
+  /// a failed write or fsync the log is broken for good: later batches are
+  /// dropped unwritten, so the file stays a gap-free prefix and
+  /// durable_lsn() stays below the first lost record.
   void flush() {
-    std::vector<unsigned char> batch;
-    std::uint64_t target = 0;
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      if (pending_.empty()) return;
-      batch.swap(pending_);
-      target = appended_lsn_.load(std::memory_order_relaxed);
-    }
-    if (failed_) return;
-    bool ok = false;
-    if (mode_ == DurabilityMode::kODirect) {
-      ok = write_direct(batch);
-    } else {
-      ok = write_exact(fd_, batch.data(), batch.size());
-    }
-    if (ok && (mode_ == DurabilityMode::kFsync ||
-               mode_ == DurabilityMode::kODirect)) {
-      ok = ::fdatasync(fd_) == 0;
-      if (ok) fsyncs_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!ok) {
-      // Keep durable_lsn where it is, now and for every later flush: the
-      // held acks covering this batch stall instead of acknowledging writes
-      // that never reached the disk.
-      failed_ = true;
-      io_errors_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    flushes_.fetch_add(1, std::memory_order_relaxed);
-    durable_lsn_.store(target, std::memory_order_release);
+    if (pending_.empty()) return;
+    if (!failed_) write_pending();
+    pending_.clear();
   }
 
   std::uint64_t appended_lsn() const noexcept {
@@ -322,6 +290,32 @@ class ShardLog {
     return true;
   }
 
+  /// flush()'s I/O: one write of the pending batch, plus one fdatasync in
+  /// the sync modes, then the durable LSN moves up to the last append.
+  void write_pending() {
+    bool ok = false;
+    if (mode_ == DurabilityMode::kODirect) {
+      ok = write_direct(pending_);
+    } else {
+      ok = write_exact(fd_, pending_.data(), pending_.size());
+    }
+    if (ok && (mode_ == DurabilityMode::kFsync ||
+               mode_ == DurabilityMode::kODirect)) {
+      ok = ::fdatasync(fd_) == 0;
+      if (ok) fsyncs_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (!ok) {
+      // Keep durable_lsn where it is, now and for every later flush: the
+      // held acks covering this batch stall instead of acknowledging writes
+      // that never reached the disk.
+      failed_ = true;
+      io_errors_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    flushes_.fetch_add(1, std::memory_order_relaxed);
+    durable_lsn_.store(next_lsn_ - 1, std::memory_order_release);
+  }
+
   /// Reopens the file O_DIRECT and seeds the aligned tail-block staging
   /// buffer with the current partial block (`image[0..valid_len)` is the
   /// trusted file content). Returns false if the filesystem refuses.
@@ -374,13 +368,12 @@ class ShardLog {
   int fd_ = -1;
   std::size_t truncated_bytes_ = 0;
 
-  std::mutex mu_;  ///< guards pending_ + next_lsn_ (worker vs daemon swap)
+  // Owned by the shard worker once open() returned.
   std::vector<unsigned char> pending_;
   std::uint64_t next_lsn_ = 1;
+  bool failed_ = false;  ///< latched first I/O error
 
-  bool failed_ = false;  ///< latched first I/O error (daemon-only)
-
-  // O_DIRECT staging (daemon-only once open() returned).
+  // O_DIRECT staging.
   unsigned char* tail_block_ = nullptr;
   std::size_t tail_off_ = 0;
   std::size_t tail_len_ = 0;

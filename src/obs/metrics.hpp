@@ -66,8 +66,8 @@ struct alignas(128) ThreadMetrics {
   si::util::Histogram queue_depth;
   si::util::Histogram reactor_batch;
   si::util::Histogram reactor_flush_bytes;
-  /// Written by the group-commit daemon, not the owner thread — per-slot the
-  /// single-writer contract still holds (one daemon, disjoint histogram).
+  /// Enqueue to durable-ack release, written by the owner thread: the shard
+  /// worker that flushed the covering log records.
   si::util::Histogram durable_ack;
   Taxonomy taxonomy;
 };

@@ -26,12 +26,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "baselines/version_table.hpp"
 #include "obs/obs.hpp"
 #include "p8htm/abort.hpp"
 #include "p8htm/topology.hpp"
 #include "protocol/retry_budget.hpp"
 #include "protocol/substrate.hpp"
+#include "protocol/version_table.hpp"
 #include "util/cacheline.hpp"
 #include "util/stats.hpp"
 
@@ -334,7 +334,7 @@ class P8tmCore {
 
   S& sub_;
   P8tmCoreConfig cfg_;
-  si::baselines::VersionTable versions_;
+  VersionTable versions_;
   std::vector<Log> logs_;
   RetryBudget budgets_[si::p8::kMaxThreads];
 };

@@ -18,8 +18,8 @@
 #include "check/history.hpp"
 #include "p8htm/htm.hpp"
 #include "p8htm/topology.hpp"
+#include "protocol/state_table.hpp"
 #include "protocol/substrate.hpp"
-#include "sihtm/state_table.hpp"
 #include "util/backoff.hpp"
 #include "util/cacheline.hpp"
 #include "util/logical_clock.hpp"
@@ -296,7 +296,7 @@ class RealSubstrate {
 
   RealSubstrateConfig cfg_;
   si::p8::HtmRuntime rt_;
-  si::sihtm::StateTable state_;
+  StateTable state_;
   si::util::OwnedGlobalLock gl_;
   std::vector<SharedFlag> gl_shared_by_;
   si::util::LogicalClock clock_;

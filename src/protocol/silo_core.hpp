@@ -29,10 +29,10 @@
 #include <cstring>
 #include <vector>
 
-#include "baselines/version_table.hpp"
 #include "obs/obs.hpp"
 #include "p8htm/abort.hpp"
 #include "protocol/substrate.hpp"
+#include "protocol/version_table.hpp"
 #include "util/cacheline.hpp"
 #include "util/stats.hpp"
 
@@ -79,7 +79,7 @@ class SiloCore {
         for (auto line = first; line <= last; ++line) {
           const std::uint64_t v =
               vt.word_for(line).load(std::memory_order_acquire);
-          if (si::baselines::VersionTable::is_locked(v)) {
+          if (VersionTable::is_locked(v)) {
             ok = false;
             break;
           }
@@ -240,8 +240,6 @@ class SiloCore {
   }
 
   bool try_commit(Ctx& ctx) {
-    using si::baselines::VersionTable;
-
     // Phase 1: lock the write set in canonical order (deadlock freedom).
     ctx.write_lines.clear();
     for (const auto& w : ctx.writes) {
@@ -295,7 +293,7 @@ class SiloCore {
   }
 
   S& sub_;
-  si::baselines::VersionTable versions_;
+  VersionTable versions_;
   std::vector<Ctx> ctxs_;
 };
 

@@ -17,7 +17,7 @@
 
 #include "util/cacheline.hpp"
 
-namespace si::sihtm {
+namespace si::protocol {
 
 inline constexpr std::uint64_t kInactive = 0;
 inline constexpr std::uint64_t kCompleted = 1;
@@ -51,4 +51,4 @@ class StateTable {
   std::unique_ptr<Slot[]> slots_;
 };
 
-}  // namespace si::sihtm
+}  // namespace si::protocol

@@ -14,7 +14,7 @@
 #include "util/backoff.hpp"
 #include "util/spinlock.hpp"
 
-namespace si::baselines {
+namespace si::protocol {
 
 class VersionTable {
  public:
@@ -73,4 +73,4 @@ class VersionTable {
   std::unique_ptr<std::atomic<std::uint64_t>[]> words_;
 };
 
-}  // namespace si::baselines
+}  // namespace si::protocol

@@ -38,19 +38,6 @@ struct RuntimeConfig {
 
   /// Forwarded to the selected backend's config (empty: tracing off).
   si::obs::ObsConfig obs{};
-
-  /// Post-commit hook, invoked on the committing thread after execute()
-  /// returns (i.e. after the transaction committed — every backend retries
-  /// internally until commit). C-style so RuntimeConfig stays trivially
-  /// copyable. The durability tier (serve/service.hpp) uses it as the
-  /// group-commit doorbell: the hook fires right after SI-HTM's safety wait
-  /// completes, which is exactly where a batched fsync piggybacks for free
-  /// (DESIGN.md section 14). Must be cheap and must not re-enter execute().
-  struct CommitHook {
-    void (*fn)(void* ctx, bool is_ro) = nullptr;
-    void* ctx = nullptr;
-  };
-  CommitHook on_commit{};
 };
 
 class Runtime {
@@ -71,11 +58,11 @@ class Runtime {
 
   /// Runs `body(auto& tx)` as one transaction on the configured backend.
   /// The body must be a generic callable (it is instantiated once per
-  /// backend transaction-handle type).
+  /// backend transaction-handle type). Every backend retries internally, so
+  /// the transaction has committed when this returns.
   template <typename Body>
   void execute(bool is_ro, Body&& body) {
     std::visit([&](auto& core) { core.execute(is_ro, body); }, core_);
-    if (cfg_.on_commit.fn != nullptr) cfg_.on_commit.fn(cfg_.on_commit.ctx, is_ro);
   }
 
   std::vector<si::util::ThreadStats>& thread_stats() {

@@ -7,7 +7,7 @@
 //
 // Completion is a C-style callback (`done(ctx, response)`), invoked exactly
 // once per request Service::submit accepted, on the shard worker thread that
-// executed it (or the group-commit daemon, once a logged update is durable).
+// executed it (for a logged update, after that worker's flush made it durable).
 // Callbacks must be cheap and must not re-enter the service from the same
 // shard (submitting to a *different* shard from a completion is fine). The
 // in-process clients (tests, Service::call) complete into a stack slot; the

@@ -33,7 +33,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -64,18 +63,12 @@ struct TelemetryConfig {
   std::size_t ring = 256;            ///< epochs retained for /series
 };
 
-/// Durability tier (DESIGN.md section 14): per-shard write-ahead log plus
-/// the group-commit daemon that batches fsyncs and releases held acks.
+/// Durability tier (DESIGN.md section 14): a per-shard write-ahead log that
+/// each shard worker appends to and flushes (when its queue drains, or once
+/// `batch_max` records wait), releasing the acks each flush covers.
 struct DurabilityConfig {
   si::durability::DurabilityMode mode = si::durability::DurabilityMode::kOff;
   std::string dir;  ///< log directory (required unless mode == kOff)
-  /// Group-commit tick: the daemon flushes every shard log and releases the
-  /// covered acks at least this often. The commit hook also rings the
-  /// daemon's doorbell every `batch` committed updates, so a saturated
-  /// shard never waits the full tick.
-  std::uint32_t group_commit_us = 200;
-  std::uint32_t batch = 64;          ///< early-flush doorbell threshold
-  std::size_t pending_ring = 8192;   ///< held-ack ring capacity per shard
 
   bool enabled() const noexcept {
     return mode != si::durability::DurabilityMode::kOff;
@@ -105,8 +98,8 @@ struct ServiceConfig {
   /// enabling it forces a private Metrics sink if the caller supplied none.
   TelemetryConfig telemetry{};
 
-  /// Write-ahead logging + group commit; off by default (the service is a
-  /// cache until the knob is turned).
+  /// Write-ahead logging with group commit on the shard workers; off by
+  /// default (the service is a cache until the knob is turned).
   DurabilityConfig durability{};
 
   /// Backend selection, history recording and obs sinks, forwarded verbatim.
@@ -126,7 +119,7 @@ struct DurabilityStats {
   std::uint64_t io_errors = 0;
   std::uint64_t appended_lsn = 0;  ///< sum over shards
   std::uint64_t durable_lsn = 0;   ///< sum over shards
-  std::uint64_t acks_held = 0;     ///< completions waiting for their fsync
+  std::uint64_t acks_held = 0;     ///< acks the last flush left unreleased
 };
 
 struct ServiceCounters {
@@ -177,7 +170,6 @@ class Service {
       : cfg_(fixup(std::move(cfg))),
         app_(app),
         own_metrics_(make_own_metrics()),
-        commit_hook_installed_(install_commit_hook()),
         rt_(cfg_.runtime) {
     queues_.reserve(static_cast<std::size_t>(cfg_.shards));
     for (int s = 0; s < cfg_.shards; ++s) {
@@ -191,9 +183,6 @@ class Service {
       series_ = std::make_unique<si::obs::TimeSeries>(cfg_.telemetry.ring);
       aggregator_ = std::make_unique<si::obs::EpochAggregator>(series_.get());
       start_ns_ = si::obs::wall_ns();
-    }
-    if (cfg_.durability.enabled()) {
-      gc_thread_ = std::thread([this] { group_commit_loop(); });
     }
     workers_.reserve(static_cast<std::size_t>(cfg_.shards));
     for (int s = 0; s < cfg_.shards; ++s) {
@@ -323,12 +312,13 @@ class Service {
   /// Rejects further submissions (Admit::kStopped) and joins the workers
   /// after they drained every already-accepted request, so completed ==
   /// accepted at return (an inline read that began before stop() finishes
-  /// first). With durability on, the group-commit daemon then
-  /// performs one final flush + fsync of every shard's buffered log tail and
-  /// releases every held ack before it is joined — a clean SIGTERM drain is
-  /// always recoverable with zero replay loss, and every accepted request's
-  /// completion has fired by the time stop() returns (the TCP front ends
-  /// rely on that ordering: Service::stop() precedes reactor teardown).
+  /// first). With durability on, every worker flushed its log once its
+  /// queue drained and released the acks that flush covered, so a clean
+  /// SIGTERM drain leaves no buffered tail and is recoverable with zero
+  /// replay loss, and every accepted request's completion has fired by the
+  /// time stop() returns (the TCP front ends rely on that ordering:
+  /// Service::stop() precedes reactor teardown). The one exception is a
+  /// log whose write or fsync failed: its acks are never released.
   void stop() {
     bool expected = false;
     if (!stopping_.compare_exchange_strong(expected, true)) return;
@@ -348,16 +338,6 @@ class Service {
     }
     for (auto& w : workers_) {
       if (w.joinable()) w.join();
-    }
-    if (gc_thread_.joinable()) {
-      // After the last worker exits no append can race the final flush; the
-      // daemon's exit path flushes and drains the held-ack queues.
-      {
-        std::lock_guard<std::mutex> g(gc_mu_);
-        gc_stop_ = true;
-      }
-      gc_cv_.notify_one();
-      gc_thread_.join();
     }
     // Final drain epoch: the workers completed every accepted request before
     // exiting, and no thread records into the metrics any more, so this
@@ -416,8 +396,8 @@ class Service {
 
   /// Highest LSN known durable on `shard` (0 with durability off). Any
   /// completion whose Response::lsn is <= this value has stable storage
-  /// backing it — the group-commit latency test asserts callbacks only ever
-  /// observe durable_lsn(shard) >= resp.lsn.
+  /// backing it — the ack-gating test asserts callbacks only ever observe
+  /// durable_lsn(shard) >= resp.lsn.
   std::uint64_t durable_lsn(int shard) const noexcept {
     if (logs_.empty()) return 0;
     return logs_[static_cast<std::size_t>(shard)]->durable_lsn();
@@ -433,8 +413,8 @@ class Service {
   /// snapshot, same tolerance as the metrics histograms.
   DurabilityStats durability_stats() const noexcept {
     DurabilityStats d;
-    for (const auto& log : logs_) {
-      const si::durability::ShardLogStats s = log->stats();
+    for (std::size_t i = 0; i < logs_.size(); ++i) {
+      const si::durability::ShardLogStats s = logs_[i]->stats();
       d.appends += s.appends;
       d.bytes += s.bytes;
       d.flushes += s.flushes;
@@ -442,9 +422,8 @@ class Service {
       d.io_errors += s.io_errors;
       d.appended_lsn += s.appended_lsn;
       d.durable_lsn += s.durable_lsn;
+      d.acks_held += acks_held_[i].load(std::memory_order_relaxed);
     }
-    for (const auto& h : held_) d.acks_held += h->approx_depth();
-    d.acks_held += spill_depth_.load(std::memory_order_relaxed);
     return d;
   }
 
@@ -468,14 +447,6 @@ class Service {
     if (cfg.aimd.min_watermark < 1) cfg.aimd.min_watermark = 1;
     if (cfg.telemetry.epoch_us < 100) cfg.telemetry.epoch_us = 100;
     if (cfg.telemetry.ring < 1) cfg.telemetry.ring = 1;
-    if (cfg.durability.group_commit_us < 50) cfg.durability.group_commit_us = 50;
-    if (cfg.durability.batch < 1) cfg.durability.batch = 1;
-    // The held-ack ring must absorb at least one full request ring's worth
-    // of completions between ticks, or workers would stall on their own
-    // drain during shutdown.
-    if (cfg.durability.pending_ring < cfg.queue_capacity) {
-      cfg.durability.pending_ring = cfg.queue_capacity;
-    }
     return cfg;
   }
 
@@ -660,25 +631,33 @@ class Service {
     w.waiting.store(false, std::memory_order_relaxed);
   }
 
+  /// A completed response waiting for its covering flush.
+  struct HeldAck {
+    std::uint64_t lsn = 0;
+    double enqueue_ns = 0.0;
+    Response resp{};
+    CompletionFn done = nullptr;
+    void* ctx = nullptr;
+  };
+
   void worker_loop(int tid) {
     rt_.register_thread(tid);
     RequestQueue& q = *queues_[static_cast<std::size_t>(tid)];
     std::vector<Request> batch(cfg_.batch_max);
+    std::vector<HeldAck> held;  // acks waiting for this shard's next flush
+    std::size_t unflushed = 0;  // WAL records appended since that flush
     const si::obs::ObsConfig& obs = cfg_.runtime.obs;
-    bool logged = false;  // WAL records appended since the last idle flush
     for (;;) {
       const std::size_t n = q.pop_batch(batch.data(), cfg_.batch_max);
       if (n == 0) {
-        // Drain-then-exit: stopping_ is checked only on an empty queue, so
-        // every accepted request completes before the worker leaves. The
-        // daemon's final flush covers whatever this shard appended.
-        if (stopping_.load(std::memory_order_acquire) && q.empty()) break;
-        // The shard went idle: nothing else will join this batch, so make
-        // its acks durable now rather than at the next tick.
-        if (logged) {
-          request_flush();
-          logged = false;
+        if (unflushed > 0) {
+          group_commit(tid, &held);
+          unflushed = 0;
         }
+        // Drain-then-exit: stopping_ is checked only on an empty queue, so
+        // every accepted request completes, and its record is flushed,
+        // before the worker leaves.
+        if (stopping_.load(std::memory_order_acquire) && q.empty()) break;
         park(tid, q);
         continue;
       }
@@ -687,32 +666,69 @@ class Service {
                         static_cast<std::uint32_t>(q.approx_depth() + n));
       }
       for (std::size_t i = 0; i < n; ++i) {
-        logged |= serve_one(tid, batch[i], obs);
+        if (serve_one(tid, batch[i], obs, &held)) ++unflushed;
+      }
+      // Group commit (DESIGN.md §14): the group closes when the queue has
+      // drained, since nothing else could join it, or once batch_max
+      // records wait; until then the next batch's reads run unblocked.
+      if (unflushed > 0 && (unflushed >= cfg_.batch_max || q.empty())) {
+        group_commit(tid, &held);
+        unflushed = 0;
       }
     }
   }
 
-  /// Executes one request and completes it (or parks its ack). Returns true
-  /// when the request appended a WAL record.
-  bool serve_one(int tid, const Request& req, const si::obs::ObsConfig& obs) {
+  /// Executes one request and completes it, or holds its ack for the
+  /// group's flush. Returns true when the request appended a WAL record.
+  bool serve_one(int tid, const Request& req, const si::obs::ObsConfig& obs,
+                 std::vector<HeldAck>* held) {
     Response resp;
     resp.id = req.id;
     execute_and_count(tid, req, &resp, obs);
     // Ack gating (DESIGN.md §14): a committed update is appended to the
-    // shard's WAL and its completion is parked until the group-commit daemon
-    // has made the covering LSN durable. Read-only ops, failed requests and
-    // -durability off keep the old immediate-ack path.
+    // shard's WAL and its completion is held until the covering LSN is
+    // durable. Read-only ops, failed requests and -durability off keep the
+    // immediate-ack path.
     if constexpr (HasLoggedOp<App>::value) {
       if (!logs_.empty() && resp.status == Status::kOk &&
           App::logged_op(req.op)) {
         resp.lsn = logs_[static_cast<std::size_t>(tid)]->append(
             req.id, req.key, req.arg, req.op);
-        if (req.done != nullptr) hold_ack(tid, req, resp);
+        if (req.done != nullptr) {
+          held->push_back({resp.lsn, req.enqueue_ns, resp, req.done, req.ctx});
+        }
         return true;
       }
     }
     if (req.done != nullptr) req.done(req.ctx, resp);
     return false;
+  }
+
+  /// Closes a group: one write, plus one fdatasync in the sync modes, covers
+  /// every record appended since the last flush; then the acks the new
+  /// durable LSN covers fire, in LSN order. After a failed write or fsync
+  /// the durable LSN never moves again, so those acks stay held for good.
+  void group_commit(int tid, std::vector<HeldAck>* held) {
+    si::durability::ShardLog& log = *logs_[static_cast<std::size_t>(tid)];
+    log.flush();
+    const std::uint64_t durable = log.durable_lsn();
+    const double now = si::obs::wall_ns();
+    si::obs::Metrics* metrics = cfg_.runtime.obs.metrics;
+    std::size_t released = 0;
+    for (; released < held->size() && (*held)[released].lsn <= durable;
+         ++released) {
+      const HeldAck& ack = (*held)[released];
+      if (metrics != nullptr) {
+        const double d = now - ack.enqueue_ns;
+        metrics->of(tid).durable_ack.record(
+            d > 0 ? static_cast<std::uint64_t>(d) : 0);
+      }
+      ack.done(ack.ctx, ack.resp);
+    }
+    held->erase(held->begin(),
+                held->begin() + static_cast<std::ptrdiff_t>(released));
+    acks_held_[static_cast<std::size_t>(tid)].store(held->size(),
+                                                    std::memory_order_relaxed);
   }
 
   /// The part of serving a request that the worker and the inline path
@@ -733,46 +749,6 @@ class Service {
     }
   }
 
-  /// Parks a completed-but-not-yet-durable response on the shard's held-ack
-  /// ring. The ring is sized to absorb a full tick's worth of completions;
-  /// if the daemon falls behind (fsync stall) the worker waits here, which
-  /// is the correct backpressure — it cannot ack and must not run ahead
-  /// unboundedly.
-  void hold_ack(int tid, const Request& req, const Response& resp) {
-    HeldAck ack;
-    ack.lsn = resp.lsn;
-    ack.enqueue_ns = req.enqueue_ns;
-    ack.resp = resp;
-    ack.done = req.done;
-    ack.ctx = req.ctx;
-    auto& ring = *held_[static_cast<std::size_t>(tid)];
-    while (ring.try_push(ack) != Admit::kAccepted) {
-      request_flush();
-      std::this_thread::yield();
-    }
-  }
-
-  /// The group-commit daemon's one wake path (shard idle, batch doorbell,
-  /// full held-ack ring). The flag survives a daemon that is mid-flush, so
-  /// a request is never lost: the daemon's predicate wait sees it at once.
-  void request_flush() {
-    {
-      std::lock_guard<std::mutex> g(gc_mu_);
-      flush_requested_ = true;
-    }
-    gc_cv_.notify_one();
-  }
-
-  /// A completed response waiting for its covering fsync. Trivially
-  /// copyable so the MpscRing moves it by assignment, like Request.
-  struct HeldAck {
-    std::uint64_t lsn = 0;
-    double enqueue_ns = 0.0;
-    Response resp{};
-    CompletionFn done = nullptr;
-    void* ctx = nullptr;
-  };
-
   /// Opens one ShardLog per shard (worker tid == shard index == log index).
   /// Throws on an unopenable directory/file or a shard-layout mismatch —
   /// serving without the log the operator asked for would silently ack
@@ -786,7 +762,6 @@ class Service {
       throw std::invalid_argument("durability enabled but no log dir");
     }
     logs_.reserve(static_cast<std::size_t>(cfg_.shards));
-    held_.reserve(static_cast<std::size_t>(cfg_.shards));
     for (int s = 0; s < cfg_.shards; ++s) {
       auto log = std::make_unique<si::durability::ShardLog>();
       std::string err;
@@ -796,91 +771,15 @@ class Service {
         throw std::runtime_error("wal: " + err);
       }
       logs_.push_back(std::move(log));
-      held_.push_back(
-          std::make_unique<MpscRing<HeldAck>>(cfg_.durability.pending_ring));
     }
-    spill_.resize(static_cast<std::size_t>(cfg_.shards));
-  }
-
-  /// Rings the group-commit doorbell every `durability.batch` committed
-  /// updates, so a saturated shard, whose queue never drains, still flushes
-  /// in batches before the tick. Installed into cfg_.runtime before rt_ is
-  /// constructed (the runtime copies its config), so it runs in the
-  /// initializer list like make_own_metrics(). The hook fires on the shard
-  /// worker right after the backend's commit (DESIGN.md §14).
-  bool install_commit_hook() {
-    if (!cfg_.durability.enabled()) return false;
-    cfg_.runtime.on_commit.fn = [](void* ctx, bool is_ro) {
-      if (is_ro) return;
-      auto* self = static_cast<Service*>(ctx);
-      const std::uint64_t n =
-          self->commits_since_flush_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (n % self->cfg_.durability.batch == 0) self->request_flush();
-    };
-    cfg_.runtime.on_commit.ctx = this;
-    return true;
-  }
-
-  /// Group-commit daemon: whenever a shard goes idle, the batch doorbell
-  /// rings or the tick expires, flush all shard logs — one write + at most
-  /// one fsync per shard, amortised over every commit since the last flush
-  /// — then release the acks the new durable LSNs cover. The exit path runs
-  /// one final flush_and_release() after the workers quiesced, so stop()
-  /// drains with zero held acks and a clean, fully-fsynced log tail.
-  void group_commit_loop() {
-    const auto tick = std::chrono::microseconds(cfg_.durability.group_commit_us);
-    std::unique_lock<std::mutex> lk(gc_mu_);
-    for (;;) {
-      gc_cv_.wait_for(lk, tick, [this] { return gc_stop_ || flush_requested_; });
-      if (gc_stop_) break;
-      flush_requested_ = false;
-      lk.unlock();
-      commits_since_flush_.store(0, std::memory_order_relaxed);
-      flush_and_release();
-      lk.lock();
-    }
-    lk.unlock();
-    flush_and_release();
-  }
-
-  void flush_and_release() {
-    for (auto& log : logs_) log->flush();
-    std::size_t still_held = 0;
-    for (int s = 0; s < cfg_.shards; ++s) {
-      auto& ring = *held_[static_cast<std::size_t>(s)];
-      auto& spill = spill_[static_cast<std::size_t>(s)];
-      HeldAck buf[64];
-      std::size_t n;
-      while ((n = ring.pop_batch(buf, 64)) > 0) {
-        spill.insert(spill.end(), buf, buf + n);
-      }
-      const std::uint64_t durable =
-          logs_[static_cast<std::size_t>(s)]->durable_lsn();
-      const double now = si::obs::wall_ns();
-      si::obs::Metrics* metrics = cfg_.runtime.obs.metrics;
-      // Workers push in append order, so the spill deque is LSN-sorted per
-      // shard and the releasable prefix ends at the first LSN > durable.
-      while (!spill.empty() && spill.front().lsn <= durable) {
-        const HeldAck& ack = spill.front();
-        if (metrics != nullptr) {
-          const double d = now - ack.enqueue_ns;
-          metrics->of(s).durable_ack.record(
-              d > 0 ? static_cast<std::uint64_t>(d) : 0);
-        }
-        ack.done(ack.ctx, ack.resp);
-        spill.pop_front();
-      }
-      still_held += spill.size();
-    }
-    spill_depth_.store(still_held, std::memory_order_relaxed);
+    acks_held_ = std::make_unique<std::atomic<std::size_t>[]>(
+        static_cast<std::size_t>(cfg_.shards));
   }
 
   ServiceConfig cfg_;
   App& app_;
   /// Declared before rt_: make_own_metrics() patches cfg_.runtime.obs.
   std::unique_ptr<si::obs::Metrics> own_metrics_;
-  /// Declared before rt_: install_commit_hook() patches cfg_.runtime.
-  bool commit_hook_installed_ = false;
   si::runtime::Runtime rt_;
   std::vector<std::unique_ptr<RequestQueue>> queues_;
   std::unique_ptr<ShardWake[]> wake_;  ///< one per shard, beside queues_
@@ -904,15 +803,9 @@ class Service {
   std::atomic<int> inline_active_{0};  ///< serve_inline() calls in progress
   // Durability tier (empty/idle when cfg_.durability.mode == kOff).
   std::vector<std::unique_ptr<si::durability::ShardLog>> logs_;
-  std::vector<std::unique_ptr<MpscRing<HeldAck>>> held_;
-  std::vector<std::deque<HeldAck>> spill_;  ///< daemon-owned release queues
-  std::atomic<std::size_t> spill_depth_{0};
-  std::atomic<std::uint64_t> commits_since_flush_{0};
-  std::mutex gc_mu_;
-  std::condition_variable gc_cv_;
-  bool gc_stop_ = false;          ///< guarded by gc_mu_
-  bool flush_requested_ = false;  ///< guarded by gc_mu_
-  std::thread gc_thread_;
+  /// Per shard: the acks its worker's last flush left held (set by the
+  /// worker, read by telemetry).
+  std::unique_ptr<std::atomic<std::size_t>[]> acks_held_;
 
   std::mutex epoch_mu_;
   std::condition_variable epoch_cv_;  ///< stop() wakes the epoch thread

@@ -169,10 +169,10 @@ inline std::string render_prometheus(const TelemetrySources& src) {
                     "WAL record bytes appended across all shard logs.",
                     src.log->bytes);
     detail::counter(os, "si_log_flushes_total",
-                    "Group-commit flush passes that wrote data.",
+                    "WAL flushes that wrote data (one per group commit).",
                     src.log->flushes);
     detail::counter(os, "si_log_fsyncs_total",
-                    "fsync/fdatasync calls issued by the group-commit daemon.",
+                    "fdatasync calls issued by the shard workers' flushes.",
                     src.log->fsyncs);
     detail::counter(os, "si_log_io_errors_total",
                     "WAL write/fsync failures (durable LSN stalls).",
@@ -181,7 +181,7 @@ inline std::string render_prometheus(const TelemetrySources& src) {
                   "Sum of per-shard durable LSNs.",
                   static_cast<double>(src.log->durable_lsn));
     detail::gauge(os, "si_log_acks_held",
-                  "Completions parked until their covering fsync.",
+                  "Acks the last flush left held (a failed log's stuck acks).",
                   static_cast<double>(src.log->acks_held));
     if (src.snap != nullptr) {
       detail::summary(os, "si_durable_ack_latency_ns",

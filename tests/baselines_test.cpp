@@ -7,8 +7,8 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/version_table.hpp"
 #include "protocol/tm.hpp"
+#include "protocol/version_table.hpp"
 #include "runtime/driver.hpp"
 #include "runtime/runtime.hpp"
 #include "util/backoff.hpp"
@@ -31,7 +31,7 @@ void await(const std::atomic<bool>& flag) {
 // --- VersionTable ------------------------------------------------------------
 
 TEST(VersionTableTest, LockUnlockBump) {
-  si::baselines::VersionTable vt(8);
+  si::protocol::VersionTable vt(8);
   const si::util::LineId line = 99;
   const auto v0 = vt.read_stable(line);
   ASSERT_TRUE(vt.try_lock(line));
@@ -43,7 +43,7 @@ TEST(VersionTableTest, LockUnlockBump) {
 }
 
 TEST(VersionTableTest, UnlockWithoutBumpKeepsVersion) {
-  si::baselines::VersionTable vt(8);
+  si::protocol::VersionTable vt(8);
   const auto v0 = vt.read_stable(5);
   ASSERT_TRUE(vt.try_lock(5));
   vt.unlock(5, /*bump=*/false);

@@ -3,9 +3,10 @@
 // ShardLog open/append/flush/reopen, the latched I/O error (a lost batch is
 // never covered by a later flush), replay idempotence, the group-commit
 // ack-gating invariant (a completion never fires before its covering LSN is
-// durable), the idle-shard flush (a lone put is acked without the tick), and
-// the clean-shutdown flush (Service::stop() leaves a fully scanned,
-// eof-terminated log).
+// durable), the idle-shard flush (a lone put is acked at once), the
+// clean-shutdown flush (Service::stop() leaves a fully scanned,
+// eof-terminated log), a failed log that never acks, and the thread count
+// (group commit runs on the shard workers, not on a thread of its own).
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -505,8 +506,6 @@ TEST(ServiceDurability, AcksNeverPrecedeTheCoveringFsync) {
   cfg.queue_capacity = 256;
   cfg.durability.mode = DurabilityMode::kFsync;
   cfg.durability.dir = dir.path;
-  cfg.durability.group_commit_us = 200;
-  cfg.durability.batch = 16;
   KvApp app(small_app_cfg(), cfg.shards);
   Service<KvApp> svc(app, cfg);
 
@@ -557,9 +556,9 @@ TEST(ServiceDurability, AcksNeverPrecedeTheCoveringFsync) {
   EXPECT_EQ(svc.durability_stats().acks_held, 0u);
 }
 
-// The idle trigger: a lone put on an otherwise idle shard is acked without
-// waiting for the tick or the batch doorbell, and still never before its
-// covering LSN is durable.
+// A lone put on an otherwise idle shard drains the queue, so the worker
+// flushes it and acks it at once, with no timer to wait out, and still
+// never before its covering LSN is durable.
 TEST(ServiceDurability, IdleShardFlushesWithoutTheTick) {
   TempDir dir;
   struct Ctx {
@@ -571,8 +570,6 @@ TEST(ServiceDurability, IdleShardFlushesWithoutTheTick) {
   cfg.shards = 1;
   cfg.durability.mode = DurabilityMode::kFsync;
   cfg.durability.dir = dir.path;
-  cfg.durability.group_commit_us = 30'000'000;
-  cfg.durability.batch = 100000;
   KvApp app(small_app_cfg(), cfg.shards);
   Service<KvApp> svc(app, cfg);
   ctx.svc = &svc;
@@ -597,10 +594,100 @@ TEST(ServiceDurability, IdleShardFlushesWithoutTheTick) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(ctx.acked.load(std::memory_order_acquire))
-      << "the put waited for the 30 s tick";
+      << "the lone put was not acked within 1 s";
   EXPECT_TRUE(ctx.covered.load(std::memory_order_relaxed));
   svc.stop();
   EXPECT_EQ(svc.durability_stats().acks_held, 0u);
+}
+
+/// Threads in this process: the entries of /proc/self/task.
+int thread_count() {
+  DIR* tasks = ::opendir("/proc/self/task");
+  if (tasks == nullptr) return -1;
+  int n = 0;
+  while (const dirent* e = ::readdir(tasks)) {
+    if (e->d_name[0] != '.') ++n;
+  }
+  ::closedir(tasks);
+  return n;
+}
+
+// Group commit runs on the shard workers: with AIMD and telemetry off (no
+// epoch thread), a durable Service starts exactly one thread per shard.
+TEST(ServiceDurability, RunsNoThreadBeyondTheShardWorkers) {
+  TempDir dir;
+  ServiceConfig cfg;
+  cfg.shards = 2;
+  cfg.durability.mode = DurabilityMode::kFsync;
+  cfg.durability.dir = dir.path;
+  KvApp app(small_app_cfg(), cfg.shards);
+  // ThreadSanitizer starts a helper thread on the first thread creation;
+  // create one first so the helper is already in `before`.
+  std::thread([] {}).join();
+  const int before = thread_count();
+  ASSERT_GT(before, 0);
+  Service<KvApp> svc(app, cfg);
+  EXPECT_EQ(thread_count() - before, cfg.shards);
+  svc.stop();
+}
+
+// A failed log never acks: with ENOSPC (/dev/full swapped in under shard
+// 0's log descriptor) the first flush fails and latches, so the durable LSN
+// never covers the puts, their acks stay held and are counted as such, and
+// stop() still returns.
+TEST(ServiceDurability, FailedLogNeverAcks) {
+  TempDir dir;
+  ServiceConfig cfg;
+  cfg.shards = 2;
+  cfg.durability.mode = DurabilityMode::kFsync;
+  cfg.durability.dir = dir.path;
+  KvApp app(small_app_cfg(), cfg.shards);
+  Service<KvApp> svc(app, cfg);
+
+  const int fd = open_fd_of(shard_log_path(dir.path, 0));
+  ASSERT_GE(fd, 0);
+  const int saved = ::dup(fd);
+  const int full = ::open("/dev/full", O_WRONLY);
+  ASSERT_GE(saved, 0);
+  ASSERT_GE(full, 0);
+  ASSERT_EQ(::dup2(full, fd), fd);
+  const std::uint64_t durable_before = svc.durable_lsn(0);
+
+  const std::uint64_t kPuts = 100;
+  std::atomic<std::uint64_t> acked{0};
+  for (std::uint64_t i = 0; i < kPuts; ++i) {
+    Request req;
+    req.id = i;
+    req.op = KvApp::kPut;
+    req.key = i;
+    req.arg = i + 1;
+    req.ctx = &acked;
+    req.done = [](void* c, const Response&) {
+      static_cast<std::atomic<std::uint64_t>*>(c)->fetch_add(
+          1, std::memory_order_relaxed);
+    };
+    EXPECT_TRUE(svc.submit_to(0, req).accepted());
+  }
+  // Every put executes and is appended; each group's flush fails or is
+  // dropped, so all of their acks end up held.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (svc.durability_stats().acks_held < kPuts &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(svc.durability_stats().acks_held, kPuts);
+  EXPECT_GE(svc.durability_stats().io_errors, 1u);
+  EXPECT_EQ(svc.durable_lsn(0), durable_before);
+  EXPECT_EQ(svc.appended_lsn(0), durable_before + kPuts);
+
+  svc.stop();  // must return although shard 0's acks can never be released
+  EXPECT_EQ(acked.load(), 0u);
+  EXPECT_EQ(svc.durable_lsn(0), durable_before);
+  EXPECT_EQ(svc.durability_stats().acks_held, kPuts);
+  ASSERT_EQ(::dup2(saved, fd), fd);
+  ::close(saved);
+  ::close(full);
 }
 
 // KvApp whose execute() spins until the gate opens, so a test can hold the
@@ -629,13 +716,10 @@ TEST(ServiceDurability, StopFlushesBufferedTailForCleanRecovery) {
     cfg.shards = 2;
     cfg.durability.mode = DurabilityMode::kBuffered;
     cfg.durability.dir = dir.path;
-    // A tick far longer than the test and a doorbell batch larger than the
-    // write count rule out those two triggers. The gate rules out the third,
-    // the idle flush: no worker can see its queue drain before stop() has
-    // begun, and a stopping worker exits without requesting one. So the
-    // daemon's final drain flush is the only way the tail reaches the file.
-    cfg.durability.group_commit_us = 30'000'000;
-    cfg.durability.batch = 100000;
+    // A worker flushes only after it has served a request. The gate holds
+    // every worker inside the first request of its first batch until stop()
+    // has begun, so nothing reaches the file before that: the flushes of
+    // the draining workers are the only way the tail gets there.
     KvApp inner(small_app_cfg(), cfg.shards);
     std::atomic<bool> open{false};
     GatedKvApp app{inner, open};
@@ -669,7 +753,7 @@ TEST(ServiceDurability, StopFlushesBufferedTailForCleanRecovery) {
     }
     EXPECT_EQ(svc.durability_stats().flushes, 0u);
     open.store(true, std::memory_order_release);
-    stopper.join();  // workers drain, then the daemon's final flush releases all
+    stopper.join();  // workers drain, then flush and release what they held
     EXPECT_EQ(acked.load(), kWrites);
     EXPECT_EQ(svc.durability_stats().acks_held, 0u);
     EXPECT_EQ(svc.durability_stats().appends, kWrites);

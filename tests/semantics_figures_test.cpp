@@ -6,8 +6,8 @@
 #include <thread>
 
 #include "p8htm/htm.hpp"
+#include "protocol/state_table.hpp"
 #include "protocol/tm.hpp"
-#include "sihtm/state_table.hpp"
 #include "util/backoff.hpp"
 
 namespace {
@@ -247,7 +247,7 @@ TEST(Fig4A_SafetyWait, ReaderKillsWaitingWriter) {
       first = tx.read(&x.v);
       reader_started.store(true, std::memory_order_release);
       si::util::Backoff b;
-      while (cc.substrate().state(1) != si::sihtm::kCompleted) b.pause();
+      while (cc.substrate().state(1) != si::protocol::kCompleted) b.pause();
       second = tx.read(&x.v);  // invalidates r1's write entry: r1 aborts
     });
   });
@@ -282,7 +282,7 @@ TEST(Fig4B_SafetyWait, WriterCommitsAfterCleanWait) {
     cc.execute(false, [&](auto& tx) {
       reader_started.store(true, std::memory_order_release);
       si::util::Backoff b;
-      while (cc.substrate().state(1) != si::sihtm::kCompleted) b.pause();
+      while (cc.substrate().state(1) != si::protocol::kCompleted) b.pause();
       r0_saw_y = tx.read(&y.v);  // disjoint from r1's write set
     });
   });
@@ -311,7 +311,7 @@ TEST(Fig4B_SafetyWait, WriterCommitsAfterCleanWait) {
 // Algorithm 1 by hand to freeze t1 between snapshot and HTMEnd.
 TEST(Fig5_CommitTimestamp, ReadAfterHtmEndSeesValue) {
   HtmRuntime rt{HtmConfig{}};
-  si::sihtm::StateTable state(4);
+  si::protocol::StateTable state(4);
   si::util::LogicalClock clock;
   Cell x;
 
@@ -325,16 +325,16 @@ TEST(Fig5_CommitTimestamp, ReadAfterHtmEndSeesValue) {
     rt.store(&x.v, std::uint64_t{1});
     // TxEnd by hand: publish completed, snapshot (t2 is inactive: no wait).
     rt.suspend();
-    state.set(1, si::sihtm::kCompleted);
+    state.set(1, si::protocol::kCompleted);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     rt.resume();
     std::uint64_t snapshot[4];
     state.snapshot(snapshot);
-    EXPECT_LE(snapshot[2], si::sihtm::kCompleted);  // t2 not active yet
+    EXPECT_LE(snapshot[2], si::protocol::kCompleted);  // t2 not active yet
     t1_snapshotted.store(true, std::memory_order_release);
     await(t2_started);  // t2 begins *between* our snapshot and HTMEnd
     rt.commit();        // HTMEnd
-    state.set(1, si::sihtm::kInactive);
+    state.set(1, si::protocol::kInactive);
     t1_ended.store(true, std::memory_order_release);
   });
   std::thread t2([&] {
@@ -346,7 +346,7 @@ TEST(Fig5_CommitTimestamp, ReadAfterHtmEndSeesValue) {
     await(t1_ended);
     t2_saw = rt.load(&x.v);  // after t1's HTMEnd: sees the committed 1
     rt.commit();
-    state.set(2, si::sihtm::kInactive);
+    state.set(2, si::protocol::kInactive);
   });
   t1.join();
   t2.join();

@@ -8,14 +8,14 @@
 #include <thread>
 #include <vector>
 
+#include "protocol/state_table.hpp"
 #include "protocol/tm.hpp"
-#include "sihtm/state_table.hpp"
 #include "util/backoff.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
-using namespace si::sihtm;
+using namespace si::protocol;
 using si::protocol::SiHtm;
 using si::p8::TxAbort;
 using si::util::AbortCause;

@@ -66,7 +66,6 @@ void usage(const char* prog) {
                "          [-buckets N] [-elements N] [-warehouses N]\n"
                "          [-struct skiplist|bst|btree] [-scan-cap N]\n"
                "          [-durability off|buffered|fsync|odirect] [-log-dir D]\n"
-               "          [-group-commit-us N] [-group-commit-batch N]\n"
                "          [-recover] [-recover-only] [-recover-verify]\n"
                "          [-json FILE]\n",
                prog);
@@ -308,7 +307,6 @@ int run_recovery(App& app, const si::serve::ServiceConfig& scfg,
   si::runtime::RuntimeConfig rcfg = scfg.runtime;
   rcfg.max_threads = 1;
   rcfg.obs = {};
-  rcfg.on_commit = {};
   std::unique_ptr<si::check::HistoryRecorder> recorder;
   if (cli.has("recover-verify")) {
     recorder = std::make_unique<si::check::HistoryRecorder>(1);
@@ -360,9 +358,9 @@ int serve_app(App& app, si::serve::ServiceConfig& scfg, si::util::Cli& cli,
   try {
     si::serve::Service<App> service(app, scfg);
     if (scfg.durability.enabled()) {
-      std::printf("si_serve: durability %s dir=%s group-commit=%u us\n",
+      std::printf("si_serve: durability %s dir=%s\n",
                   si::durability::to_string(scfg.durability.mode),
-                  scfg.durability.dir.c_str(), scfg.durability.group_commit_us);
+                  scfg.durability.dir.c_str());
       std::fflush(stdout);
     }
     return run_front_end(service, cli, metrics, fe);
@@ -437,10 +435,6 @@ int run(int argc, char** argv) {
     return 2;
   }
   scfg.durability.dir = cli.get("log-dir", "");
-  scfg.durability.group_commit_us =
-      static_cast<std::uint32_t>(cli.get_int("group-commit-us", 200));
-  scfg.durability.batch =
-      static_cast<std::uint32_t>(cli.get_int("group-commit-batch", 64));
   const bool wants_recovery = cli.has("recover") || cli.has("recover-only");
   if ((scfg.durability.enabled() || wants_recovery) &&
       scfg.durability.dir.empty()) {
