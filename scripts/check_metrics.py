@@ -11,7 +11,8 @@ renderer emits): every sample line parses, every family has # HELP and
 # TYPE before its first sample, TYPE is counter/gauge/summary, no family is
 declared twice, summaries carry quantile/_sum/_count lines, and the
 si_tx_aborts_total family covers the full abort taxonomy, and a scrape with
-the reactor families carries si_reactor_inline_reads_total too.
+the reactor families carries si_reactor_inline_reads_total and
+si_reactor_inline_updates_total too.
 
 --series checks the si-series-v1 JSON: required top-level keys, per-epoch
 records with strictly increasing seq and non-negative dt_s, per-epoch abort
@@ -66,6 +67,7 @@ REACTOR_FAMILIES = [
     "si_reactor_bytes_out_total",
     "si_reactor_parse_errors_total",
     "si_reactor_inline_reads_total",
+    "si_reactor_inline_updates_total",
 ]
 
 # Families that must appear when the server runs with -durability on

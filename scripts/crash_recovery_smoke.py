@@ -10,7 +10,9 @@ The acceptance chain, end to end:
      by default, or Poisson arrivals at a fixed rate with --open-rate, where
      acks arrive while sends keep going
   3. mid-load, scrape /metrics and lint it (check_metrics.py
-     --require-durability), then SIGKILL the server — no drain, no flush
+     --require-durability), check that no update ran inline on a reactor
+     (logged updates must wait for their group's flush on the shard
+     worker), then SIGKILL the server — no drain, no flush
   4. run `si_serve -recover -recover-only -recover-verify`: scan the shard
      logs, discard torn tails, replay the trusted records through the
      runtime with a history recorder, and SI-verify the replayed history
@@ -37,6 +39,8 @@ import urllib.request
 
 LISTEN_RE = re.compile(r"listening on 127\.0\.0\.1:(\d+)")
 ADMIN_RE = re.compile(r"admin endpoint on 127\.0\.0\.1:(\d+)")
+INLINE_UPDATES_RE = re.compile(r"^si_reactor_inline_updates_total (\S+)$",
+                               re.MULTILINE)
 
 
 def fail(msg):
@@ -172,6 +176,14 @@ def main():
              "--require-durability"])
         if lint.returncode != 0:
             fail("mid-load /metrics scrape failed the durability lint")
+        with open(metrics_txt) as f:
+            inline_updates = INLINE_UPDATES_RE.search(f.read())
+        if inline_updates is None:
+            fail("mid-load /metrics scrape has no "
+                 "si_reactor_inline_updates_total")
+        elif float(inline_updates.group(1)) != 0:
+            fail(f"{inline_updates.group(1)} logged updates ran inline on a "
+                 "reactor instead of behind their group commit")
 
         print(f"crash_recovery_smoke: SIGKILL server pid={server.pid}")
         server.send_signal(signal.SIGKILL)

@@ -228,6 +228,9 @@ class ShardLog {
     pending_.clear();
   }
 
+  /// True once a write or fsync failed (latched). Owning worker only.
+  bool failed() const noexcept { return failed_; }
+
   std::uint64_t appended_lsn() const noexcept {
     return appended_lsn_.load(std::memory_order_relaxed);
   }

@@ -55,7 +55,8 @@ class KvApp {
   void execute(si::runtime::Runtime& rt, int tid, const Request& req,
                Response* resp) {
     // Only updates touch per-shard state: a get may run on a reader tid
-    // (>= shards, Service::attach_reader), which indexes no shard.
+    // (>= shards, Service::attach_reader), which indexes no shard. An update
+    // always runs on its shard's tid, inline or not.
     switch (req.op) {
       case kGet: {
         std::uint64_t value = 0;
@@ -100,10 +101,15 @@ class KvApp {
   /// to set Request::ro consistently).
   static bool is_ro(std::uint16_t op) noexcept { return op == kGet; }
 
-  /// True when a reader thread may run the opcode inline, without a shard
-  /// hand-off (Service::serve_inline): gets are read-only, unlogged and use
-  /// no per-shard state.
-  static bool inline_op(std::uint16_t op) noexcept { return op == kGet; }
+  /// Where the reactor may run the opcode without a shard hand-off
+  /// (Service::serve_inline): a get is read-only and uses no per-shard state,
+  /// so any reader tid serves it; put and del use the shard's node pool, so
+  /// they run on the shard's tid while no worker is executing.
+  static InlineOp inline_op(std::uint16_t op) noexcept {
+    if (op == kGet) return InlineOp::kRead;
+    if (op == kPut || op == kDel) return InlineOp::kUpdate;
+    return InlineOp::kNone;
+  }
 
   /// True when a committed request of this opcode must reach the write-ahead
   /// log before its ack may be released (durability tier, DESIGN.md §14).

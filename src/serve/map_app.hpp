@@ -67,6 +67,7 @@ class MapApp : public MapOps {
                Response* resp) {
     // Only updates and ranges touch per-shard state: a get may run on a
     // reader tid (>= shards, Service::attach_reader), which indexes no shard.
+    // Updates and ranges always run on their shard's tid.
     switch (req.op) {
       case kGet: {
         std::uint64_t value = 0;
@@ -109,11 +110,16 @@ class MapApp : public MapOps {
     return op == kGet || op == kRange;
   }
 
-  /// True when a reader thread may run the opcode inline, without a shard
-  /// hand-off (Service::serve_inline). Ranges stay on the workers: a 64-key
-  /// scan holds its thread for ~18 us, which would stall every connection on
-  /// the reactor (DESIGN.md §9).
-  static bool inline_op(std::uint16_t op) noexcept { return op == kGet; }
+  /// Where the reactor may run the opcode without a shard hand-off
+  /// (Service::serve_inline): gets on any reader tid, puts and dels on the
+  /// shard's tid while no worker is executing. Ranges stay on the workers: a
+  /// 64-key scan holds its thread for ~18 us, which would stall every
+  /// connection on the reactor (DESIGN.md §9).
+  static InlineOp inline_op(std::uint16_t op) noexcept {
+    if (op == kGet) return InlineOp::kRead;
+    if (op == kPut || op == kDel) return InlineOp::kUpdate;
+    return InlineOp::kNone;
+  }
 
   /// Durability tier (DESIGN.md §14): puts and dels are logged; gets and
   /// ranges leave no state behind to recover.

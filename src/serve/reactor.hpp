@@ -16,12 +16,15 @@
 //    connection once with writev. No lock is ever taken on the hot path in
 //    either direction;
 //  * a runtime tid of its own (Service::attach_reader) on which it serves
-//    point reads inline: a get that arrives on a connection with nothing in
-//    flight runs SI-HTM's read-only path right in parse_and_submit and its
-//    response is encoded straight into the connection's buffer — no shard
-//    queue, no worker wake-up, no ring, no doorbell. A frame behind an
+//    requests inline: a get that arrives on a connection with nothing in
+//    flight runs SI-HTM's read-only path right in parse_and_submit, and an
+//    unlogged put or del runs there too, on its shard's tid, when no shard
+//    worker is executing (Service::serve_inline takes every shard's lease).
+//    The response is encoded straight into the connection's buffer — no
+//    shard queue, no worker wake-up, no ring, no doorbell. A frame behind an
 //    in-flight request of its own connection is submitted as before, so a
-//    get pipelined behind its connection's put still runs after that put.
+//    request pipelined behind its connection's queued one still runs after
+//    it.
 //
 // Wire format: the length-prefixed binary protocol of serve/wire.hpp, with
 // client-chosen correlation ids, so clients pipeline arbitrarily many
@@ -90,6 +93,7 @@ struct ReactorStats {
   std::uint64_t rejected = 0;        ///< admission refusals answered inline
   std::uint64_t completions = 0;     ///< responses routed back through the ring
   std::uint64_t inline_reads = 0;    ///< point reads served on the reactor
+  std::uint64_t inline_updates = 0;  ///< updates served on the reactor
   std::uint64_t wakeups = 0;         ///< completion-drain passes that found work
   std::uint64_t flushes = 0;         ///< writev calls
   std::uint64_t bytes_in = 0;
@@ -104,6 +108,7 @@ struct ReactorStats {
     rejected += o.rejected;
     completions += o.completions;
     inline_reads += o.inline_reads;
+    inline_updates += o.inline_updates;
     wakeups += o.wakeups;
     flushes += o.flushes;
     bytes_in += o.bytes_in;
@@ -427,9 +432,12 @@ class ReactorPool {
         // in-flight requests must not overtake it (per-key FIFO).
         if (reader_tid_ >= 0 && conn->inflight == 0) {
           Response resp;
-          if (pool_.service_.serve_inline(reader_tid_, req, &resp)) {
+          const InlineOp ran =
+              pool_.service_.serve_inline(reader_tid_, req, &resp);
+          if (ran != InlineOp::kNone) {
             wire::encode_response(&conn->fresh, resp);
-            ++stats_.inline_reads;
+            ++(ran == InlineOp::kRead ? stats_.inline_reads
+                                      : stats_.inline_updates);
             mark_dirty(conn, flush_list);
             continue;
           }
@@ -624,7 +632,7 @@ class ReactorPool {
 
     ReactorPool& pool_;
     const int id_;
-    int reader_tid_ = -1;  ///< runtime tid for inline reads; -1: none
+    int reader_tid_ = -1;  ///< runtime tid for inline requests; -1: none
     int listen_fd_ = -1;
     int epoll_fd_ = -1;
     int event_fd_ = -1;

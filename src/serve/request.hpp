@@ -12,9 +12,10 @@
 // shard (submitting to a *different* shard from a completion is fine). The
 // in-process clients (tests, Service::call) complete into a stack slot; the
 // TCP front end pushes the response onto the owning reactor's completion
-// ring. A point read the reactor serves inline (Service::serve_inline)
-// completes on the reactor's own thread and invokes no callback: the
-// response comes back to the caller directly.
+// ring. A request the reactor serves inline (Service::serve_inline) — a
+// point read on its own tid, or an unlogged update on the shard's tid while
+// no shard worker is executing — completes on the reactor's own thread and
+// invokes no callback: the response comes back to the caller directly.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +40,14 @@ struct Response {
 
 /// Invoked after the request's transaction committed (see above for where).
 using CompletionFn = void (*)(void* ctx, const Response& resp);
+
+/// Where an opcode may run besides its shard's worker: the answer of the
+/// App::inline_op hook, and what Service::serve_inline reports it ran.
+enum class InlineOp : std::uint8_t {
+  kNone = 0,    ///< on the shard worker only
+  kRead = 1,    ///< read-only, no per-shard state: on any registered tid
+  kUpdate = 2,  ///< uses per-shard state: on the shard's tid, workers idle
+};
 
 struct Request {
   std::uint64_t id = 0;    ///< client-chosen correlation id, echoed back

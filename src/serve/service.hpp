@@ -10,17 +10,26 @@
 //                                     │  rt.execute(...) per request
 //                               completion callback + telemetry
 //
-// Shard workers run every update and every range scan, so all writes to a
-// key's state come from one worker: requests route to a shard by key hash (or
-// an explicit shard override), and a given key is always served by the same
-// worker — the hook later scaling work (sharded state, routing) plugs into.
-// Point reads may also run inline on a front-end thread: attach_reader()
-// registers the caller on a runtime tid of its own, in [shards, max_threads),
-// and serve_inline() executes an op the app marks inline (App::inline_op)
-// right there, with no queue, no wake-up and no completion hand-off. That is
-// safe on any registered thread because SI-HTM's read-only path is no
-// hardware transaction at all (Algorithm 2). The backend thus sees `shards`
-// worker tids plus at most one tid per attached reader.
+// Requests route to a shard by key hash (or an explicit shard override), and
+// every update and range scan runs on its shard's runtime tid, so all writes
+// to a key's state come from one tid at a time. The shard worker runs most of
+// them. A front-end thread may run some inline instead, with no queue, no
+// wake-up and no completion hand-off: attach_reader() registers the caller on
+// a runtime tid of its own, in [shards, max_threads), and serve_inline()
+// executes an op the app marks inline (App::inline_op) right there.
+//
+//  * A point read runs on the reader tid. That is safe on any registered
+//    thread because SI-HTM's read-only path is no hardware transaction at
+//    all (Algorithm 2).
+//  * An unlogged update runs on its shard's tid, and only while no worker is
+//    executing: every shard has a lease (a mutex) that its worker holds while
+//    it executes a popped batch and closes that batch's group, and the
+//    caller must win every shard's lease with try_lock, on top of finding
+//    the shard's queue empty. One executor per shard tid at a time keeps the
+//    per-shard app state and the tid's backend slot single-threaded.
+//
+// The backend thus sees `shards` shard tids plus at most one tid per attached
+// reader.
 //
 // Telemetry goes through the existing observability layer: per-request
 // enqueue→complete latency and per-batch queue depth land in obs::Metrics
@@ -128,7 +137,9 @@ struct ServiceCounters {
   std::uint64_t rejected_full = 0;     ///< hard ring-capacity refusals
   std::uint64_t rejected_stopped = 0;  ///< submitted after stop() began
   std::uint64_t completed = 0;
-  std::uint64_t failed = 0;  ///< completed with Status::kFailed (bad opcode)
+  /// Completed with Status::kFailed: a bad opcode, or a logged update that
+  /// a shard with a failed log refused without executing it.
+  std::uint64_t failed = 0;
 };
 
 struct SubmitResult {
@@ -149,11 +160,12 @@ struct HasLoggedOp<
     T, std::void_t<decltype(T::logged_op(std::declval<std::uint16_t>()))>>
     : std::true_type {};
 
-/// Detects `static bool App::inline_op(std::uint16_t)` — the hook an app
-/// implements to let a reader thread run an opcode inline (serve_inline()).
-/// Such an op must be read-only, unlogged, and must not touch per-shard
-/// state, since a reader tid indexes no shard. Apps without it keep every
-/// request on the shard workers.
+/// Detects `static InlineOp App::inline_op(std::uint16_t)` — the hook an app
+/// implements to let a front-end thread run an opcode inline
+/// (serve_inline()). kRead marks an op that is read-only, unlogged and
+/// touches no per-shard state, since it runs on a reader tid that indexes no
+/// shard; kUpdate marks one that needs its shard's tid. Apps without the
+/// hook keep every request on the shard workers.
 template <typename T, typename = void>
 struct HasInlineOp : std::false_type {};
 template <typename T>
@@ -270,7 +282,7 @@ class Service {
   /// app has no inline_op hook, or a HistoryRecorder is attached: recorded
   /// real-thread histories are exact only while the backend stays
   /// single-threaded (check/history.hpp), so recording runs keep every
-  /// request on the workers.
+  /// request, reads and updates alike, on the workers.
   int attach_reader() {
     if (!HasInlineOp<App>::value || cfg_.runtime.recorder != nullptr) {
       return -1;
@@ -281,37 +293,53 @@ class Service {
     return tid;
   }
 
-  /// Runs `req` to completion on the caller's reader tid (from
-  /// attach_reader()) and fills `*out`; `req.done` is not invoked. Refuses —
-  /// returns false, nothing counted — when the app does not mark the opcode
-  /// inline or once stop() began, in which case the caller submits instead.
-  /// Counts the request as accepted and completed, so completed == accepted
-  /// and the /series reconcile stay exact.
-  bool serve_inline(int tid, Request& req, Response* out) {
+  /// Runs `req` to completion on the calling thread and fills `*out`;
+  /// `req.done` is not invoked. `tid` is the caller's reader tid (from
+  /// attach_reader()). A kRead op runs on it. A kUpdate op runs on its
+  /// shard's tid, and only when it is not logged, its shard's queue is empty
+  /// and try_lock wins every shard's lease, so no worker is executing
+  /// anywhere: an update whose safety wait met a preempted worker would
+  /// stall the caller's whole event loop (DESIGN.md §9). Returns what it
+  /// ran, counted as accepted and completed (so completed == accepted and
+  /// the /series reconcile stay exact), or kNone, with nothing counted, when
+  /// it refused — also once stop() began — in which case the caller submits.
+  InlineOp serve_inline(int tid, Request& req, Response* out) {
     if constexpr (!HasInlineOp<App>::value) {
-      return false;
+      return InlineOp::kNone;
     } else {
-      if (!App::inline_op(req.op)) return false;
-      // Dekker pair with stop(): either stop() sees this read in flight and
-      // waits for it, or this read sees stopping_ and backs out.
+      const InlineOp kind = App::inline_op(req.op);
+      if (kind == InlineOp::kNone) return kind;
+      // Logged updates wait for their group's flush on the worker.
+      if (kind == InlineOp::kUpdate && logged(req.op)) return InlineOp::kNone;
+      // Dekker pair with stop(): either stop() sees this request in flight
+      // and waits for it, or this request sees stopping_ and backs out.
       inline_active_.fetch_add(1, std::memory_order_seq_cst);
       if (stopping_.load(std::memory_order_seq_cst)) {
         inline_active_.fetch_sub(1, std::memory_order_release);
-        return false;
+        return InlineOp::kNone;
       }
-      req.enqueue_ns = si::obs::wall_ns();
-      accepted_.fetch_add(1, std::memory_order_relaxed);
-      *out = Response{};
-      out->id = req.id;
-      execute_and_count(tid, req, out, cfg_.runtime.obs);
+      if (kind == InlineOp::kRead) {
+        run_inline(tid, req, out);
+      } else {
+        const int shard = shard_of(req.key);
+        if (!queues_[static_cast<std::size_t>(shard)]->empty() ||
+            !try_lease_all()) {
+          inline_active_.fetch_sub(1, std::memory_order_release);
+          return InlineOp::kNone;
+        }
+        rt_.register_thread(shard);
+        run_inline(shard, req, out);
+        rt_.register_thread(tid);
+        release_all_leases();
+      }
       inline_active_.fetch_sub(1, std::memory_order_release);
-      return true;
+      return kind;
     }
   }
 
   /// Rejects further submissions (Admit::kStopped) and joins the workers
   /// after they drained every already-accepted request, so completed ==
-  /// accepted at return (an inline read that began before stop() finishes
+  /// accepted at return (an inline request that began before stop() finishes
   /// first). With durability on, every worker flushed its log once its
   /// queue drained and released the acks that flush covered, so a clean
   /// SIGTERM drain leaves no buffered tail and is recoverable with zero
@@ -598,11 +626,34 @@ class Service {
 
   /// Per-shard park/wake handshake (DESIGN.md section 9). `waiting` is the
   /// worker's announcement that it is about to block; `word` is the futex
-  /// it blocks on, bumped by whoever wakes it.
+  /// it blocks on, bumped by whoever wakes it. `lease` is held by whoever
+  /// executes on the shard's tid: its worker for a popped batch and that
+  /// batch's group commit, or serve_inline() for an inline update. It sits
+  /// on lines of its own, so the worker's lock per batch does not evict the
+  /// `waiting` flag every submit() reads.
   struct alignas(128) ShardWake {
     std::atomic<std::uint32_t> word{0};
     std::atomic<bool> waiting{false};
+    alignas(128) std::mutex lease;
   };
+
+  /// Takes every shard's lease, or none: never blocks, so a worker busy on
+  /// any shard sends the inline update back to the queue.
+  bool try_lease_all() noexcept {
+    for (int s = 0; s < cfg_.shards; ++s) {
+      if (!wake_[static_cast<std::size_t>(s)].lease.try_lock()) {
+        while (s-- > 0) wake_[static_cast<std::size_t>(s)].lease.unlock();
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void release_all_leases() noexcept {
+    for (int s = 0; s < cfg_.shards; ++s) {
+      wake_[static_cast<std::size_t>(s)].lease.unlock();
+    }
+  }
 
   /// Producer half of the handshake, after a successful push. The fence
   /// pairs with the one in park(): either this load sees `waiting`, or the
@@ -643,6 +694,7 @@ class Service {
   void worker_loop(int tid) {
     rt_.register_thread(tid);
     RequestQueue& q = *queues_[static_cast<std::size_t>(tid)];
+    std::mutex& lease = wake_[static_cast<std::size_t>(tid)].lease;
     std::vector<Request> batch(cfg_.batch_max);
     std::vector<HeldAck> held;  // acks waiting for this shard's next flush
     std::size_t unflushed = 0;  // WAL records appended since that flush
@@ -651,6 +703,7 @@ class Service {
       const std::size_t n = q.pop_batch(batch.data(), cfg_.batch_max);
       if (n == 0) {
         if (unflushed > 0) {
+          std::lock_guard<std::mutex> g(lease);
           group_commit(tid, &held);
           unflushed = 0;
         }
@@ -661,6 +714,9 @@ class Service {
         park(tid, q);
         continue;
       }
+      // Held until this batch's group closes: no inline update runs on any
+      // shard's tid meanwhile (serve_inline()).
+      std::lock_guard<std::mutex> g(lease);
       if (obs.enabled()) {
         obs.req_dequeue(tid, si::obs::wall_ns(),
                         static_cast<std::uint32_t>(q.approx_depth() + n));
@@ -684,14 +740,21 @@ class Service {
                  std::vector<HeldAck>* held) {
     Response resp;
     resp.id = req.id;
-    execute_and_count(tid, req, &resp, obs);
-    // Ack gating (DESIGN.md §14): a committed update is appended to the
-    // shard's WAL and its completion is held until the covering LSN is
-    // durable. Read-only ops, failed requests and -durability off keep the
-    // immediate-ack path.
-    if constexpr (HasLoggedOp<App>::value) {
-      if (!logs_.empty() && resp.status == Status::kOk &&
-          App::logged_op(req.op)) {
+    if (!logged(req.op)) {
+      execute_and_count(tid, req, &resp, obs);
+    } else if (logs_[static_cast<std::size_t>(tid)]->failed()) {
+      // Fail-stop: a log that lost a write can make nothing durable again,
+      // so a logged update is refused unexecuted instead of being applied in
+      // memory and held for good. The acks already held stay held.
+      resp.status = Status::kFailed;
+      count_completion(tid, req, &resp, obs);
+    } else {
+      // Ack gating (DESIGN.md §14): a committed update is appended to the
+      // shard's WAL and its completion is held until the covering LSN is
+      // durable. Read-only ops, failed requests and -durability off keep the
+      // immediate-ack path.
+      execute_and_count(tid, req, &resp, obs);
+      if (resp.status == Status::kOk) {
         resp.lsn = logs_[static_cast<std::size_t>(tid)]->append(
             req.id, req.key, req.arg, req.op);
         if (req.done != nullptr) {
@@ -702,6 +765,25 @@ class Service {
     }
     if (req.done != nullptr) req.done(req.ctx, resp);
     return false;
+  }
+
+  /// True when a committed `op` must reach the WAL before its ack.
+  bool logged(std::uint16_t op) const noexcept {
+    if constexpr (HasLoggedOp<App>::value) {
+      return !logs_.empty() && App::logged_op(op);
+    } else {
+      return false;
+    }
+  }
+
+  /// serve_inline()'s execution on `tid`: stamps the request, counts it as
+  /// accepted and runs it like a worker would.
+  void run_inline(int tid, Request& req, Response* out) {
+    req.enqueue_ns = si::obs::wall_ns();
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+    *out = Response{};
+    out->id = req.id;
+    execute_and_count(tid, req, out, cfg_.runtime.obs);
   }
 
   /// Closes a group: one write, plus one fdatasync in the sync modes, covers
@@ -732,11 +814,17 @@ class Service {
   }
 
   /// The part of serving a request that the worker and the inline path
-  /// share: run the app on `tid`, stamp the latency, record the completion
-  /// telemetry and bump the counters.
+  /// share: run the app on `tid`, then count the completion.
   void execute_and_count(int tid, const Request& req, Response* resp,
                          const si::obs::ObsConfig& obs) {
     app_.execute(rt_, tid, req, resp);
+    count_completion(tid, req, resp, obs);
+  }
+
+  /// Stamps the latency, records the completion telemetry and bumps the
+  /// counters.
+  void count_completion(int tid, const Request& req, Response* resp,
+                        const si::obs::ObsConfig& obs) {
     resp->latency_ns = si::obs::wall_ns() - req.enqueue_ns;
     if (resp->latency_ns < 0) resp->latency_ns = 0;
     if (obs.enabled()) {

@@ -157,6 +157,10 @@ inline std::string render_prometheus(const TelemetrySources& src) {
                     "Point reads served on a reactor's own tid, with no "
                     "shard hand-off.",
                     src.reactor->inline_reads);
+    detail::counter(os, "si_reactor_inline_updates_total",
+                    "Unlogged updates served on a reactor on their shard's "
+                    "tid while no shard worker was executing.",
+                    src.reactor->inline_updates);
   }
 
   // Durability plane (DESIGN.md §14): rendered only when the WAL is on so
@@ -255,6 +259,8 @@ inline std::string render_series_json(const TelemetrySources& src) {
     w.value(src.reactor->bytes_out);
     w.key("inline_reads");
     w.value(src.reactor->inline_reads);
+    w.key("inline_updates");
+    w.value(src.reactor->inline_updates);
     w.end_object();
   }
 

@@ -5,7 +5,8 @@
 // ack-gating invariant (a completion never fires before its covering LSN is
 // durable), the idle-shard flush (a lone put is acked at once), the
 // clean-shutdown flush (Service::stop() leaves a fully scanned,
-// eof-terminated log), a failed log that never acks, and the thread count
+// eof-terminated log), a failed log that never acks and refuses further
+// updates, and the thread count
 // (group commit runs on the shard workers, not on a thread of its own).
 #include <gtest/gtest.h>
 
@@ -633,8 +634,9 @@ TEST(ServiceDurability, RunsNoThreadBeyondTheShardWorkers) {
 
 // A failed log never acks: with ENOSPC (/dev/full swapped in under shard
 // 0's log descriptor) the first flush fails and latches, so the durable LSN
-// never covers the puts, their acks stay held and are counted as such, and
-// stop() still returns.
+// never covers the puts executed before it, their acks stay held and are
+// counted as such, and stop() still returns. Fail-stop: every later put is
+// answered kFailed without executing or reaching the log.
 TEST(ServiceDurability, FailedLogNeverAcks) {
   TempDir dir;
   ServiceConfig cfg;
@@ -654,37 +656,51 @@ TEST(ServiceDurability, FailedLogNeverAcks) {
   const std::uint64_t durable_before = svc.durable_lsn(0);
 
   const std::uint64_t kPuts = 100;
-  std::atomic<std::uint64_t> acked{0};
+  struct Answers {
+    std::atomic<std::uint64_t> ok{0};
+    std::atomic<std::uint64_t> failed{0};
+  } answers;
   for (std::uint64_t i = 0; i < kPuts; ++i) {
     Request req;
     req.id = i;
     req.op = KvApp::kPut;
     req.key = i;
     req.arg = i + 1;
-    req.ctx = &acked;
-    req.done = [](void* c, const Response&) {
-      static_cast<std::atomic<std::uint64_t>*>(c)->fetch_add(
-          1, std::memory_order_relaxed);
+    req.ctx = &answers;
+    req.done = [](void* c, const Response& resp) {
+      auto* a = static_cast<Answers*>(c);
+      (resp.status == Status::kOk ? a->ok : a->failed)
+          .fetch_add(1, std::memory_order_relaxed);
     };
     EXPECT_TRUE(svc.submit_to(0, req).accepted());
   }
-  // Every put executes and is appended; each group's flush fails or is
-  // dropped, so all of their acks end up held.
+  // The puts before the first flush execute and are appended, and their
+  // acks end up held; every put after it is refused.
+  const auto held_plus_failed = [&] {
+    return svc.durability_stats().acks_held + answers.failed.load();
+  };
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (svc.durability_stats().acks_held < kPuts &&
+  while (held_plus_failed() < kPuts &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(svc.durability_stats().acks_held, kPuts);
+  const std::uint64_t held = svc.durability_stats().acks_held;
+  EXPECT_EQ(held_plus_failed(), kPuts);
+  EXPECT_GE(held, 1u);
+  // The first group closes within two batches (batch_max 32 each).
+  EXPECT_LT(held, kPuts) << "updates kept executing on a failed log";
+  EXPECT_EQ(answers.ok.load(), 0u);
   EXPECT_GE(svc.durability_stats().io_errors, 1u);
   EXPECT_EQ(svc.durable_lsn(0), durable_before);
-  EXPECT_EQ(svc.appended_lsn(0), durable_before + kPuts);
+  EXPECT_EQ(svc.appended_lsn(0), durable_before + held);
 
   svc.stop();  // must return although shard 0's acks can never be released
-  EXPECT_EQ(acked.load(), 0u);
+  EXPECT_EQ(answers.ok.load(), 0u);
+  EXPECT_EQ(answers.failed.load(), kPuts - held);
+  EXPECT_EQ(svc.counters().failed, kPuts - held);
   EXPECT_EQ(svc.durable_lsn(0), durable_before);
-  EXPECT_EQ(svc.durability_stats().acks_held, kPuts);
+  EXPECT_EQ(svc.durability_stats().acks_held, held);
   ASSERT_EQ(::dup2(saved, fd), fd);
   ::close(saved);
   ::close(full);

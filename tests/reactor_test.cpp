@@ -2,8 +2,10 @@
 // a drain with pipelined requests in flight must answer every accepted
 // request before the sockets close; a slow reader must be dropped by the
 // outbound cap instead of buffering without bound; a recorded multi-reactor
-// serve run must still be admissible under SI; and point reads served inline
-// on the reactor must never overtake their own connection's updates.
+// serve run must still be admissible under SI; requests served inline on
+// the reactor must never overtake their own connection's queued requests;
+// and updates run inline only while no shard worker executes, never when
+// they are logged or recorded.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -11,9 +13,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
@@ -23,6 +28,7 @@
 
 #include "check/history.hpp"
 #include "check/verify.hpp"
+#include "durability/wal.hpp"
 #include "serve/kv_app.hpp"
 #include "serve/net.hpp"
 #include "serve/reactor.hpp"
@@ -33,31 +39,40 @@
 namespace si::serve {
 namespace {
 
-struct TestServer {
+/// A KvApp server on an ephemeral port. `App` is KvApp or a wrapper built
+/// from the same (KvAppConfig, shards) pair; a non-empty `log_dir` turns the
+/// write-ahead log on (buffered).
+template <typename App>
+struct BasicTestServer {
   ServiceConfig scfg;
   KvAppConfig acfg;
-  std::unique_ptr<KvApp> app;
-  std::unique_ptr<Service<KvApp>> svc;
-  std::unique_ptr<ReactorPool<Service<KvApp>>> pool;
+  std::unique_ptr<App> app;
+  std::unique_ptr<Service<App>> svc;
+  std::unique_ptr<ReactorPool<Service<App>>> pool;
 
-  explicit TestServer(
+  explicit BasicTestServer(
       int shards, int reactors, std::size_t max_outbuf = 4u << 20,
       si::check::HistoryRecorder* rec = nullptr,
-      int max_threads = si::runtime::RuntimeConfig{}.max_threads) {
+      int max_threads = si::runtime::RuntimeConfig{}.max_threads,
+      const std::string& log_dir = "") {
     scfg.shards = shards;
     scfg.runtime.backend = si::runtime::Backend::kSiHtm;
     scfg.runtime.recorder = rec;
     scfg.runtime.max_threads = max_threads;
+    if (!log_dir.empty()) {
+      scfg.durability.mode = si::durability::DurabilityMode::kBuffered;
+      scfg.durability.dir = log_dir;
+    }
     acfg.buckets = 64;
     acfg.seed_elements = 500;
     acfg.key_space = 1000;
-    app = std::make_unique<KvApp>(acfg, scfg.shards);
-    svc = std::make_unique<Service<KvApp>>(*app, scfg);
+    app = std::make_unique<App>(acfg, scfg.shards);
+    svc = std::make_unique<Service<App>>(*app, scfg);
     ReactorConfig rcfg;
     rcfg.reactors = reactors;
     rcfg.port = 0;  // ephemeral
     rcfg.max_outbuf = max_outbuf;
-    pool = std::make_unique<ReactorPool<Service<KvApp>>>(*svc, rcfg);
+    pool = std::make_unique<ReactorPool<Service<App>>>(*svc, rcfg);
     std::string err;
     if (!pool->start(&err)) {
       ADD_FAILURE() << "reactor pool failed to start: " << err;
@@ -70,6 +85,8 @@ struct TestServer {
     pool->finish();
   }
 };
+
+using TestServer = BasicTestServer<KvApp>;
 
 int connect_or_die(std::uint16_t port) {
   std::string err;
@@ -160,7 +177,9 @@ TEST(ReactorDrain, PipelinedInFlightRequestsAnsweredOnShutdown) {
 
   const auto stats = server.pool->stats();
   EXPECT_EQ(stats.requests, kPipelined);
-  EXPECT_EQ(stats.completions + stats.rejected, kPipelined);
+  // The first put finds its connection idle and may run inline.
+  EXPECT_EQ(stats.completions + stats.rejected + stats.inline_updates,
+            kPipelined);
   EXPECT_EQ(stats.parse_errors, 0u);
 }
 
@@ -268,9 +287,12 @@ TEST(ReactorHistory, MultiReactorServeRunPassesSiChecker) {
 // round's keys one frame at a time, waiting for each answer: the connection
 // is idle, so these run inline where the server allows it. Then it sends
 // put(K, v) immediately followed by get(K) for kKeys fresh keys in a single
-// send: each get sits behind its own connection's in-flight put, so it must
-// queue behind that put and return v. Returns every get's value in request
-// order, so runs with and without the inline path can be compared.
+// send: a put that finds its connection idle may run inline, and the get
+// behind it then runs right after it; once a frame of the send is queued,
+// every later one sits behind an in-flight request of its own connection,
+// so it must queue too. Either way each get returns v. Returns every get's
+// value in request order, so runs with and without the inline path can be
+// compared.
 std::vector<std::uint64_t> put_get_rounds(TestServer& server) {
   constexpr std::uint64_t kRounds = 40;
   constexpr std::uint64_t kKeys = 32;
@@ -326,7 +348,8 @@ std::vector<std::uint64_t> put_get_rounds(TestServer& server) {
   return got;
 }
 
-void expect_drained(TestServer& server) {
+template <typename Server>
+void expect_drained(Server& server) {
   const auto c = server.svc->counters();
   EXPECT_EQ(c.accepted, c.completed);
   EXPECT_EQ(c.failed, 0u);
@@ -402,6 +425,227 @@ TEST(ReactorInline, RecordedRunKeepsReadsOnTheShards) {
   const auto verdict = si::check::verify_si(rec.merged());
   EXPECT_TRUE(verdict.ok()) << si::check::describe(verdict);
   EXPECT_GT(verdict.reads_checked, 0u);
+}
+
+/// Sends one request on an idle connection and returns its answer.
+Answer call_one(int fd, std::uint64_t id, std::uint16_t op, std::uint64_t key,
+                std::uint64_t arg) {
+  std::string frame;
+  wire::encode_request(&frame, id, op, key, arg);
+  EXPECT_TRUE(net::send_all(fd, frame.data(), frame.size()));
+  const auto answers = read_answers(fd, 1);
+  EXPECT_EQ(answers.size(), 1u) << "request " << id;
+  return answers.empty() ? Answer{} : answers[0];
+}
+
+/// Keys at and above this were never preloaded (the preload may hold a key
+/// twice, so a del of a preloaded key can leave a copy behind).
+constexpr std::uint64_t kFreshKeys = 2000;
+
+// Puts and dels on an idle connection, with every shard worker idle, run on
+// the reactor like idle gets: nothing goes through the ring, and they count
+// as accepted and completed.
+TEST(ReactorInline, IdleConnectionPutsRunInline) {
+  TestServer server(/*shards=*/2, /*reactors=*/1);
+  const int fd = connect_or_die(server.pool->port());
+  constexpr std::uint64_t kPuts = 64;
+  std::uint64_t id = 0;
+  for (std::uint64_t i = 0; i < kPuts; ++i) {
+    const Answer a = call_one(fd, id++, KvApp::kPut, kFreshKeys + i, i + 1);
+    EXPECT_EQ(a.status, static_cast<int>(Status::kOk)) << "put " << i;
+  }
+  for (std::uint64_t i = 0; i < kPuts; ++i) {
+    EXPECT_EQ(call_one(fd, id++, KvApp::kGet, kFreshKeys + i, 0).value, i + 1)
+        << "get " << i;
+  }
+  EXPECT_EQ(call_one(fd, id++, KvApp::kDel, kFreshKeys, 0).value, 1u);
+  EXPECT_EQ(call_one(fd, id++, KvApp::kGet, kFreshKeys, 0).value, 0u);
+  ::close(fd);
+  server.shutdown();
+  expect_drained(server);
+  const auto stats = server.pool->stats();
+  EXPECT_EQ(stats.inline_updates, kPuts + 1);
+  EXPECT_EQ(stats.inline_reads, kPuts + 1);
+  EXPECT_EQ(stats.completions, 0u) << "an idle update went through the ring";
+  EXPECT_EQ(server.svc->counters().completed, id);
+}
+
+/// KvApp whose shard worker blocks inside a request on kGateKey until the
+/// test opens the gate, so the test controls when a worker is mid-batch.
+struct GatedKvApp {
+  static constexpr std::uint64_t kGateKey = 999;
+
+  GatedKvApp(const KvAppConfig& cfg, int shards) : inner(cfg, shards) {}
+
+  static InlineOp inline_op(std::uint16_t op) noexcept {
+    return KvApp::inline_op(op);
+  }
+
+  void execute(si::runtime::Runtime& rt, int tid, const Request& req,
+               Response* resp) {
+    if (req.key == kGateKey) {
+      entered.store(true, std::memory_order_release);
+      while (!open.load(std::memory_order_acquire)) std::this_thread::yield();
+    }
+    inner.execute(rt, tid, req, resp);
+  }
+
+  /// Submits a put on kGateKey and waits until its worker holds it.
+  template <typename ServiceT>
+  void hold_worker(ServiceT& svc) {
+    Request req;
+    req.op = KvApp::kPut;
+    req.key = kGateKey;
+    req.arg = 1;
+    EXPECT_TRUE(svc.submit(req).accepted());
+    while (!entered.load(std::memory_order_acquire)) std::this_thread::yield();
+  }
+
+  KvApp inner;
+  std::atomic<bool> open{false};
+  std::atomic<bool> entered{false};
+};
+
+/// Opens the gate on scope exit, so a failed assertion cannot leave stop()
+/// waiting on a held worker.
+struct GateOpener {
+  GatedKvApp& app;
+  ~GateOpener() { app.open.store(true, std::memory_order_release); }
+};
+
+// A request pipelined behind its own connection's queued request runs after
+// it. The held worker makes the first put queue; the put and get behind it
+// find the connection busy and queue too, so the get returns the second
+// put's value once the worker is released. Without the idle-connection rule
+// the get would run inline at once and read the preloaded value.
+TEST(ReactorInline, PipelinedPutRunsAfterItsConnectionsQueuedRequest) {
+  BasicTestServer<GatedKvApp> server(/*shards=*/1, /*reactors=*/1);
+  GateOpener opener{*server.app};
+  server.app->hold_worker(*server.svc);
+  const int fd = connect_or_die(server.pool->port());
+  constexpr std::uint64_t kKey = 5;
+  std::string batch;
+  wire::encode_request(&batch, 1, KvApp::kPut, kKey, 101);
+  wire::encode_request(&batch, 2, KvApp::kPut, kKey, 102);
+  wire::encode_request(&batch, 3, KvApp::kGet, kKey, 0);
+  ASSERT_TRUE(net::send_all(fd, batch.data(), batch.size()));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.svc->counters().accepted < 4 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.app->open.store(true, std::memory_order_release);
+  std::map<std::uint64_t, Answer> by_id;
+  for (const Answer& a : read_answers(fd, 3)) by_id[a.id] = a;
+  ASSERT_EQ(by_id.size(), 3u);
+  EXPECT_EQ(by_id[3].value, 102u) << "the get overtook its connection's puts";
+  EXPECT_EQ(call_one(fd, 4, KvApp::kGet, kKey, 0).value, 102u);
+  ::close(fd);
+  server.shutdown();
+  expect_drained(server);
+  const auto stats = server.pool->stats();
+  EXPECT_EQ(stats.inline_updates, 0u);
+  EXPECT_EQ(stats.completions, 3u);
+}
+
+// While a worker is blocked mid-batch, a put from an idle connection is
+// submitted, not inlined — even one whose own shard is idle: an inline
+// update needs every shard's lease.
+TEST(ReactorInline, PutWhileAWorkerIsMidBatchIsSubmitted) {
+  BasicTestServer<GatedKvApp> server(/*shards=*/2, /*reactors=*/1);
+  GateOpener opener{*server.app};
+  const int held_shard = server.svc->shard_of(GatedKvApp::kGateKey);
+  std::uint64_t key = 1;
+  while (server.svc->shard_of(key) == held_shard) ++key;
+  server.app->hold_worker(*server.svc);
+  const int fd = connect_or_die(server.pool->port());
+  // Answered by the other shard's worker while the gate is still closed.
+  const Answer a = call_one(fd, 1, KvApp::kPut, key, 7);
+  EXPECT_EQ(a.status, static_cast<int>(Status::kOk));
+  server.app->open.store(true, std::memory_order_release);
+  ::close(fd);
+  server.shutdown();
+  expect_drained(server);
+  const auto stats = server.pool->stats();
+  EXPECT_EQ(stats.completions, 1u);
+  EXPECT_EQ(stats.inline_updates, 0u);
+}
+
+/// Fresh log directory under /tmp, removed (with its shard logs) on exit.
+struct LogDir {
+  std::string path;
+  LogDir() {
+    char tmpl[] = "/tmp/si-reactor-test-XXXXXX";
+    const char* made = ::mkdtemp(tmpl);
+    EXPECT_NE(made, nullptr);
+    if (made != nullptr) path = made;
+  }
+  ~LogDir() {
+    for (std::uint32_t s = 0; s < 8; ++s) {
+      std::remove(si::durability::shard_log_path(path, s).c_str());
+    }
+    ::rmdir(path.c_str());
+  }
+};
+
+// With the WAL on, puts and dels are logged, so they stay on the workers and
+// wait for their group's flush: none runs inline, and a put's ack never
+// reaches the client before its shard's durable LSN covers it. Gets still
+// run inline.
+TEST(ReactorInline, DurableUpdatesStayOnTheWorkers) {
+  LogDir dir;
+  TestServer server(/*shards=*/2, /*reactors=*/1, /*max_outbuf=*/4u << 20,
+                    /*rec=*/nullptr,
+                    si::runtime::RuntimeConfig{}.max_threads, dir.path);
+  const int fd = connect_or_die(server.pool->port());
+  constexpr std::uint64_t kPuts = 64;
+  std::uint64_t logged[2] = {0, 0};  // records appended per shard so far
+  std::uint64_t id = 0;
+  for (std::uint64_t i = 0; i < kPuts; ++i) {
+    const std::uint64_t key = kFreshKeys + i % 16;
+    const int shard = server.svc->shard_of(key);
+    const std::uint16_t op = i % 8 == 7 ? KvApp::kDel : KvApp::kPut;
+    EXPECT_EQ(call_one(fd, id++, op, key, i + 1).status,
+              static_cast<int>(Status::kOk));
+    ++logged[shard];
+    EXPECT_GE(server.svc->durable_lsn(shard), logged[shard])
+        << "ack " << i << " preceded its durable LSN";
+    EXPECT_EQ(call_one(fd, id++, KvApp::kGet, key, 0).value,
+              op == KvApp::kPut ? i + 1 : 0);
+  }
+  ::close(fd);
+  server.shutdown();
+  expect_drained(server);
+  const auto stats = server.pool->stats();
+  EXPECT_EQ(stats.inline_updates, 0u);
+  EXPECT_EQ(stats.completions, kPuts);
+  EXPECT_EQ(stats.inline_reads, kPuts);
+}
+
+// A recorded run keeps updates on the shard workers too, so the history
+// stays single-threaded and exact.
+TEST(ReactorInline, RecordedRunKeepsUpdatesOnTheShards) {
+  si::check::HistoryRecorder rec(1);
+  TestServer server(/*shards=*/1, /*reactors=*/1, /*max_outbuf=*/4u << 20,
+                    &rec);
+  const int fd = connect_or_die(server.pool->port());
+  constexpr std::uint64_t kPuts = 32;
+  std::uint64_t id = 0;
+  for (std::uint64_t i = 0; i < kPuts; ++i) {
+    EXPECT_EQ(call_one(fd, id++, KvApp::kPut, i, i + 1).status,
+              static_cast<int>(Status::kOk));
+    EXPECT_EQ(call_one(fd, id++, KvApp::kGet, i, 0).value, i + 1);
+  }
+  ::close(fd);
+  server.shutdown();
+  expect_drained(server);
+  const auto stats = server.pool->stats();
+  EXPECT_EQ(stats.inline_updates, 0u);
+  EXPECT_EQ(stats.inline_reads, 0u);
+  EXPECT_EQ(stats.completions, 2 * kPuts);
+  const auto verdict = si::check::verify_si(rec.merged());
+  EXPECT_TRUE(verdict.ok()) << si::check::describe(verdict);
 }
 
 }  // namespace

@@ -343,6 +343,35 @@ TEST(RendererTest, SeriesJsonRoundTripsThroughTheParser) {
   EXPECT_FALSE(root["reactor"].is_object());
 }
 
+// The reactor's inline counters reach both routes: /metrics families and
+// the /series reactor object.
+TEST(RendererTest, ReactorInlineCountersReachBothRoutes) {
+  si::obs::Metrics m(1);
+  const MetricsSnapshot snap = m.snapshot();
+  TimeSeries series(4);
+  si::serve::ReactorStats rs;
+  rs.inline_reads = 11;
+  rs.inline_updates = 7;
+  si::serve::TelemetrySources src = scripted_sources(&snap, &series);
+  src.reactor = &rs;
+
+  const std::string text = si::serve::render_prometheus(src);
+  EXPECT_NE(text.find("# TYPE si_reactor_inline_updates_total counter"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nsi_reactor_inline_updates_total 7\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nsi_reactor_inline_reads_total 11\n"),
+            std::string::npos);
+
+  si::util::JsonValue root;
+  std::string err;
+  ASSERT_TRUE(si::util::json_parse(si::serve::render_series_json(src), &root,
+                                   &err))
+      << err;
+  EXPECT_EQ(root["reactor"]["inline_updates"].u64_or(0), 7u);
+  EXPECT_EQ(root["reactor"]["inline_reads"].u64_or(0), 11u);
+}
+
 TEST(JsonParseTest, RejectsMalformedInput) {
   si::util::JsonValue v;
   EXPECT_FALSE(si::util::json_parse("{\"a\": }", &v));

@@ -10,7 +10,9 @@
 // completions route back to the owning reactor over MPSC rings and flush
 // with writev. A point read on a connection with nothing in flight skips the
 // shards: the reactor runs it on a runtime tid of its own, so the backend's
-// thread population is shards + reactors. Admission-control rejections are
+// thread population is shards + reactors. An unlogged put or del on such a
+// connection skips them too while no shard worker is executing: the reactor
+// runs it on its shard's tid. Admission-control rejections are
 // answered inline by the reactor with Status::kRejected and the retry hint,
 // so overload sheds at the socket instead of queueing.
 //
@@ -282,10 +284,12 @@ int run_front_end(ServiceT& service, si::util::Cli& cli,
   const auto rs = pool.stats();
   const auto rsnap = reactor_metrics.snapshot();
   std::printf(
-      "si_serve: reactors completions=%llu inline-reads=%llu wakeups=%llu "
-      "flushes=%llu batch-p50=%llu flush-bytes-p50=%llu overflow-drops=%llu\n",
+      "si_serve: reactors completions=%llu inline-reads=%llu "
+      "inline-updates=%llu wakeups=%llu flushes=%llu batch-p50=%llu "
+      "flush-bytes-p50=%llu overflow-drops=%llu\n",
       static_cast<unsigned long long>(rs.completions),
       static_cast<unsigned long long>(rs.inline_reads),
+      static_cast<unsigned long long>(rs.inline_updates),
       static_cast<unsigned long long>(rs.wakeups),
       static_cast<unsigned long long>(rs.flushes),
       static_cast<unsigned long long>(rsnap.reactor_batch.quantile(0.50)),
